@@ -2,24 +2,18 @@
 
 #include <algorithm>
 
-#include "density/density_map.hpp"
-
 namespace ofl::density {
 
 WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
                                const geom::Region& fillRegion,
                                const layout::DesignRules& rules) {
-  // Discard region slivers a legal fill cannot occupy: any covered
-  // point must admit a minWidth x minWidth square, i.e. survive
-  // erosion by floor(minWidth/2) (conservative for odd widths).
+  // A region no legal fill can occupy contributes nothing: the test is
+  // whether any point survives erosion by floor(minWidth/2) (conservative
+  // for odd widths). If one does, usable is the whole region's area, else
+  // 0 -- an all-or-nothing upper bound, not an area estimate.
   geom::Area usable = 0;
-  if (windowArea > 0) {
-    const geom::Coord erode = rules.minWidth / 2;
-    const geom::Region eroded = fillRegion.shrunk(erode);
-    // Scale eroded area back up: erosion removes a minWidth-wide band
-    // at boundaries; approximate usable area by re-dilating the area
-    // estimate (cheap and conservative enough for a *bound*).
-    usable = eroded.empty() ? 0 : fillRegion.area();
+  if (windowArea > 0 && !fillRegion.erodedEmpty(rules.minWidth / 2)) {
+    usable = fillRegion.area();
   }
   WindowBound bound;
   bound.lower = wireDensity;
@@ -38,9 +32,15 @@ DensityBounds computeBounds(const layout::Layout& layout, int layer,
                             const layout::WindowGrid& grid,
                             const std::vector<geom::Region>& fillRegions,
                             const layout::DesignRules& rules) {
-  const DensityMap wireDensity =
-      DensityMap::computeFromShapes(layout.layer(layer).wires, grid);
+  return computeBounds(
+      DensityMap::computeFromShapes(layout.layer(layer).wires, grid), grid,
+      fillRegions, rules);
+}
 
+DensityBounds computeBounds(const DensityMap& wireDensity,
+                            const layout::WindowGrid& grid,
+                            const std::vector<geom::Region>& fillRegions,
+                            const layout::DesignRules& rules) {
   DensityBounds bounds;
   const auto n = static_cast<std::size_t>(grid.windowCount());
   bounds.lower.resize(n);

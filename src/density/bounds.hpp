@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "density/density_map.hpp"
 #include "geometry/region.hpp"
 #include "layout/design_rules.hpp"
 #include "layout/layout.hpp"
@@ -36,8 +37,16 @@ WindowBound computeWindowBound(double wireDensity, geom::Area windowArea,
                                const layout::DesignRules& rules);
 
 /// Bounds for one layer given its per-window fill regions (from
-/// layout::computeFillRegions).
+/// layout::computeFillRegions). Computes the layer's wire density map
+/// itself; callers that already hold it use the overload below.
 DensityBounds computeBounds(const layout::Layout& layout, int layer,
+                            const layout::WindowGrid& grid,
+                            const std::vector<geom::Region>& fillRegions,
+                            const layout::DesignRules& rules);
+
+/// Same bounds from the layer's wire-only density map
+/// (DensityMap::computeFromShapes over its wires).
+DensityBounds computeBounds(const DensityMap& wireDensity,
                             const layout::WindowGrid& grid,
                             const std::vector<geom::Region>& fillRegions,
                             const layout::DesignRules& rules);

@@ -12,6 +12,12 @@
 
 namespace ofl::density {
 
+/// One window's density from its clipped shapes (a WindowGrid bucket):
+/// covered area over the window's true area, 0 for an empty window.
+/// computeFromShapes applies exactly this to every window.
+double windowDensity(const std::vector<geom::Rect>& clips,
+                     geom::Area windowArea);
+
 class DensityMap {
  public:
   DensityMap() = default;

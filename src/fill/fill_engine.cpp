@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/prof.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "density/bounds.hpp"
 #include "density/density_map.hpp"
 #include "density/metrics.hpp"
 #include "layout/fill_region.hpp"
@@ -214,8 +216,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
     obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
     pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
       prof::ScopedTimer timer(prof::Stage::kPlanning);
-      bounds[l] = density::computeBounds(layout, static_cast<int>(l), grid,
-                                         fillRegions[l], options_.rules);
+      bounds[l] = density::computeBounds(wireDensity[l], grid, fillRegions[l],
+                                         options_.rules);
     });
     prof::ScopedTimer timer(prof::Stage::kPlanning);
     plan = planner.plan(bounds, grid.cols(), grid.rows());
@@ -384,39 +386,30 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   obs::ScopedSpan runSpan("engine.eco", "engine", {{"job", jid}});
   checkCancel(options_.cancel);
   const int numLayers = layout.numLayers();
+  const auto nl = static_cast<std::size_t>(numLayers);
   const layout::WindowGrid grid(layout.die(), options_.windowSize);
   const auto numWindows = static_cast<std::size_t>(grid.windowCount());
-  ThreadPool pool(options_.numThreads);
-  report.threadsUsed = pool.size();
 
   // Affected windows: everything the changed area (inflated by the
   // spacing rule, since a moved wire blocks space across a window border)
-  // touches.
+  // touches. They form the window rectangle [i0, i1] x [j0, j1]; slot a of
+  // every per-affected-window array is its a-th window in flat order.
+  int i0, j0, i1, j1;
+  grid.windowRange(changed.expanded(options_.rules.minSpacing), i0, j0, i1,
+                   j1);
   std::vector<char> affected(numWindows, 0);
-  {
-    int i0, j0, i1, j1;
-    grid.windowRange(changed.expanded(options_.rules.minSpacing), i0, j0, i1,
-                     j1);
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
-        affected[static_cast<std::size_t>(grid.flatIndex(i, j))] = 1;
-      }
+  std::vector<std::size_t> affectedIndices;
+  std::vector<geom::Rect> affectedRects;
+  for (int j = j0; j <= j1; ++j) {
+    for (int i = i0; i <= i1; ++i) {
+      const auto w = static_cast<std::size_t>(grid.flatIndex(i, j));
+      affected[w] = 1;
+      affectedIndices.push_back(w);
+      affectedRects.push_back(grid.windowRect(i, j));
     }
   }
-
-  // Drop the old fills of affected windows (a fill belongs to exactly one
-  // window by construction).
-  for (int l = 0; l < numLayers; ++l) {
-    auto& fills = layout.layer(l).fills;
-    fills.erase(std::remove_if(fills.begin(), fills.end(),
-                               [&](const geom::Rect& f) {
-                                 int i0, j0, i1, j1;
-                                 grid.windowRange(f, i0, j0, i1, j1);
-                                 return affected[static_cast<std::size_t>(
-                                     grid.flatIndex(i0, j0))] != 0;
-                               }),
-                fills.end());
-  }
+  const std::size_t numAffected = affectedIndices.size();
+  const double windowsArg = static_cast<double>(numAffected);
 
   // Pinned-target mode: when the attached window cache carries the target
   // plans of a full run() on this exact grid shape, pin the ECO targets to
@@ -430,73 +423,93 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       cache != nullptr &&
       cache->getPlan(grid.cols(), grid.rows(), numLayers, stored);
 
-  // Plan with unaffected windows frozen at their current density: their
-  // lower and upper bounds collapse to the as-filled value, so the target
-  // sweep can only adapt the affected windows.
+  // Prep, local to the affected windows: their wire and blocked buckets,
+  // fill regions, wire densities and fresh bounds, indexed [layer][a].
+  // A window's clips depend only on the rects that touch it, so these
+  // equal what computeFillRegions, bucketClipped and computeBounds give
+  // the same windows over the whole grid. Only the legacy mode's frozen
+  // current-density map stays whole-layout.
+  //
+  // The pool starts inside the prep span and is joined inside the refill
+  // span, so the three stage spans account for the whole ECO run.
   Timer stage;
-  std::vector<std::vector<geom::Region>> fillRegions(
-      static_cast<std::size_t>(numLayers),
-      std::vector<geom::Region>(numWindows));
-  std::vector<std::vector<std::vector<geom::Rect>>> blockedBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<std::vector<std::vector<geom::Rect>>> wireBuckets(
-      static_cast<std::size_t>(numLayers));
-  std::vector<density::DensityMap> wireDensity(
-      static_cast<std::size_t>(numLayers));
-  std::vector<density::DensityBounds> bounds(
-      static_cast<std::size_t>(numLayers));
-  pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
-    const int layer = static_cast<int>(l);
-    wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires);
-    {
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      wireDensity[l] = density::DensityMap::computeFromShapes(
-          layout.layer(layer).wires, grid);
+  std::optional<ThreadPool> pool;
+  std::vector<std::vector<geom::Region>> fillRegions(nl);
+  std::vector<std::vector<std::vector<geom::Rect>>> blockedBuckets(nl);
+  std::vector<std::vector<std::vector<geom::Rect>>> wireBuckets(nl);
+  std::vector<std::vector<double>> wireDensity(
+      nl, std::vector<double>(numAffected));
+  std::vector<density::DensityBounds> bounds(nl);
+  {
+    obs::ScopedSpan span("engine.eco_prep", "engine",
+                         {{"job", jid}, {"windows", windowsArg}});
+    pool.emplace(options_.numThreads);
+    report.threadsUsed = pool->size();
+    // Drop the old fills of affected windows (a fill belongs to exactly
+    // one window by construction).
+    for (int l = 0; l < numLayers; ++l) {
+      auto& fills = layout.layer(l).fills;
+      fills.erase(std::remove_if(fills.begin(), fills.end(),
+                                 [&](const geom::Rect& f) {
+                                   int fi0, fj0, fi1, fj1;
+                                   grid.windowRange(f, fi0, fj0, fi1, fj1);
+                                   return affected[static_cast<std::size_t>(
+                                              grid.flatIndex(fi0, fj0))] != 0;
+                                 }),
+                  fills.end());
     }
-    const auto regions = [&] {
-      prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-      return layout::computeFillRegions(layout, layer, grid, options_.rules,
-                                        &blockedBuckets[l]);
-    }();
-    auto& b = bounds[l];
-    const density::DensityBounds fresh = density::computeBounds(
-        layout, layer, grid, regions, options_.rules);
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      if (affected[w] != 0) fillRegions[l][w] = regions[w];
-    }
-    if (pinned) {
-      // Fresh wire-only bounds everywhere: the pinned plan clamps the
-      // stored targets into them exactly as the depositing run did, so
-      // unchanged-wire windows reproduce its targets bit-for-bit. No
-      // as-filled freeze is needed — targets are not re-swept here, so
-      // they cannot drift.
-      b = fresh;
-      return;
-    }
-    const density::DensityMap current = [&] {
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
-      return density::DensityMap::compute(layout, layer, grid);
-    }();
-    b.lower.resize(numWindows);
-    b.upper.resize(numWindows);
-    for (std::size_t w = 0; w < numWindows; ++w) {
-      if (affected[w] != 0) {
-        b.lower[w] = fresh.lower[w];
-        b.upper[w] = fresh.upper[w];
-      } else {
-        const int i = static_cast<int>(w) % grid.cols();
-        const int j = static_cast<int>(w) / grid.cols();
-        b.lower[w] = current.at(i, j);
-        b.upper[w] = current.at(i, j);
+
+    pool->parallelFor(nl, [&](std::size_t l) {
+      const int layer = static_cast<int>(l);
+      {
+        prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+        wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires, i0, j0,
+                                            i1, j1);
+        blockedBuckets[l] = grid.bucketClipped(
+            layout::inflatedWires(layout, layer, options_.rules), i0, j0, i1,
+            j1);
+        fillRegions[l].resize(numAffected);
+        for (std::size_t a = 0; a < numAffected; ++a) {
+          fillRegions[l][a] =
+              layout::windowFillRegion(affectedRects[a], blockedBuckets[l][a]);
+        }
       }
-    }
-  });
+      // Plan with unaffected windows frozen at their current density:
+      // their lower and upper bounds collapse to the as-filled value, so
+      // the target sweep can only adapt the affected windows. Pinned mode
+      // reads affected windows' bounds only (targets are not re-swept, so
+      // they cannot drift), and leaves the rest at 0.
+      auto& b = bounds[l];
+      b.lower.assign(numWindows, 0.0);
+      b.upper.assign(numWindows, 0.0);
+      for (std::size_t a = 0; a < numAffected; ++a) {
+        const geom::Area windowArea = affectedRects[a].area();
+        wireDensity[l][a] =
+            density::windowDensity(wireBuckets[l][a], windowArea);
+        const density::WindowBound fresh = density::computeWindowBound(
+            wireDensity[l][a], windowArea, fillRegions[l][a], options_.rules);
+        b.lower[affectedIndices[a]] = fresh.lower;
+        b.upper[affectedIndices[a]] = fresh.upper;
+      }
+      if (pinned) return;
+      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      const density::DensityMap current =
+          density::DensityMap::compute(layout, layer, grid);
+      for (std::size_t w = 0; w < numWindows; ++w) {
+        if (affected[w] != 0) continue;
+        b.lower[w] = current.values()[w];
+        b.upper[w] = current.values()[w];
+      }
+    });
+  }
   const TargetDensityPlanner planner(options_.plannerWeights);
   // Pinned mode plans CANDIDATE targets from the stored stage-1 plan; the
   // sizing targets are re-derived per affected window below, mirroring
   // run()'s stage-3 per-window arithmetic. Legacy mode keeps the single
   // frozen-bounds sweep for both roles.
   const TargetPlan plan = [&] {
+    obs::ScopedSpan span("engine.eco_plan", "engine",
+                         {{"job", jid}, {"windows", windowsArg}});
     prof::ScopedTimer timer(prof::Stage::kPlanning);
     return pinned ? planner.planPinned(stored.candidate, bounds)
                   : planner.plan(bounds, grid.cols(), grid.rows());
@@ -507,32 +520,26 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   // Candidate generation + sizing for affected windows only: solve each
   // affected window into its own slot, then merge in window order.
   stage.reset();
-  std::vector<std::size_t> affectedIndices;
-  for (std::size_t w = 0; w < numWindows; ++w) {
-    if (affected[w] != 0) affectedIndices.push_back(w);
-  }
+  obs::ScopedSpan refillSpan("engine.eco_refill", "engine",
+                             {{"job", jid}, {"windows", windowsArg}});
   const CandidateGenerator generator(options_.rules, options_.candidate);
   const FillSizer sizer(options_.rules, options_.sizer);
   const std::uint64_t optionsDigest =
       pinned ? windowOptionsDigest(options_) : 0;
-  std::vector<WindowProblem> problems(affectedIndices.size());
-  std::vector<FillSizer::Stats> windowStats(affectedIndices.size());
-  std::vector<char> served(affectedIndices.size(), 0);
-  pool.parallelFor(affectedIndices.size(), [&](std::size_t a) {
+  std::vector<WindowProblem> problems(numAffected);
+  std::vector<FillSizer::Stats> windowStats(numAffected);
+  std::vector<char> served(numAffected, 0);
+  pool->parallelFor(numAffected, [&](std::size_t a) {
     checkCancel(options_.cancel);
     const std::size_t w = affectedIndices[a];
-    const int i = static_cast<int>(w) % grid.cols();
-    const int j = static_cast<int>(w) / grid.cols();
     WindowProblem& p = problems[a];
-    p.window = grid.windowRect(i, j);
-    for (int l = 0; l < numLayers; ++l) {
-      p.fillRegions.push_back(fillRegions[static_cast<std::size_t>(l)][w]);
-      p.wires.push_back(wireBuckets[static_cast<std::size_t>(l)][w]);
-      p.blocked.push_back(blockedBuckets[static_cast<std::size_t>(l)][w]);
-      p.wireDensity.push_back(
-          wireDensity[static_cast<std::size_t>(l)].at(i, j));
-      p.targetDensity.push_back(
-          plan.windowTarget[static_cast<std::size_t>(l)][w]);
+    p.window = affectedRects[a];
+    for (std::size_t l = 0; l < nl; ++l) {
+      p.fillRegions.push_back(std::move(fillRegions[l][a]));
+      p.wires.push_back(std::move(wireBuckets[l][a]));
+      p.blocked.push_back(std::move(blockedBuckets[l][a]));
+      p.wireDensity.push_back(wireDensity[l][a]);
+      p.targetDensity.push_back(plan.windowTarget[l][w]);
     }
     static thread_local CandidateGenerator::Scratch generatorScratch;
     static thread_local FillSizer::Scratch sizerScratch;
@@ -588,6 +595,7 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
     }
     if (pinned) cache->insert(key, WindowCache::Entry{p.fills, candidates});
   });
+  pool.reset();
   for (std::size_t a = 0; a < problems.size(); ++a) {
     const WindowProblem& p = problems[a];
     if (served[a] != 0) {

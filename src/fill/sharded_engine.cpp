@@ -20,6 +20,7 @@
 #include "geometry/boolean.hpp"
 #include "geometry/decompose.hpp"
 #include "geometry/polygon.hpp"
+#include "layout/fill_region.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
@@ -246,14 +247,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           const geom::Rect windowRect = grid.windowRect(static_cast<int>(i), j);
           const geom::Area windowArea = windowRect.area();
           const double wires =
-              windowArea > 0
-                  ? static_cast<double>(geom::unionArea(wireBuckets[i])) /
-                        windowArea
-                  : 0.0;
-          const std::vector<geom::Rect> windowRects{windowRect};
+              density::windowDensity(wireBuckets[i], windowArea);
           const geom::Region region =
-              geom::Region::fromDisjoint(geom::booleanOp(
-                  windowRects, blockedBuckets[i], geom::BoolOp::kSubtract));
+              layout::windowFillRegion(windowRect, blockedBuckets[i]);
           const density::WindowBound bound = density::computeWindowBound(
               wires, windowArea, region, eng.rules);
           wireDen[l][w] = wires;
@@ -363,10 +359,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           rowBlocked[l] = blockedBuckets;
           pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
             prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-            const std::vector<geom::Rect> windowRects{
-                grid.windowRect(static_cast<int>(i), j)};
-            rowRegions[l][i] = geom::Region::fromDisjoint(geom::booleanOp(
-                windowRects, rowBlocked[l][i], geom::BoolOp::kSubtract));
+            rowRegions[l][i] = layout::windowFillRegion(
+                grid.windowRect(static_cast<int>(i), j), rowBlocked[l][i]);
           });
         }
         pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {

@@ -66,4 +66,11 @@ Region Region::shrunk(Coord d) const {
   return fromDisjoint(booleanOp(rects_, complement, BoolOp::kSubtract));
 }
 
+bool Region::erodedEmpty(Coord d) const {
+  for (const Rect& r : rects_) {
+    if (r.width() > 2 * d && r.height() > 2 * d) return false;
+  }
+  return shrunk(d).empty();
+}
+
 }  // namespace ofl::geom

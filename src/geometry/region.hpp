@@ -73,6 +73,14 @@ class Region {
   /// boundaries. d must be >= 0.
   Region shrunk(Coord d) const;
 
+  /// shrunk(d).empty(), usually without building the erosion: a rect of
+  /// the region wider and taller than 2d keeps its centre, because the
+  /// d-dilated complement that shrunk() subtracts cannot reach a point
+  /// whose (2d+1)-square lies inside one rect of the region. Only when no
+  /// single rect is that large (slivers, or slabs whose union alone admits
+  /// the square) is shrunk() evaluated.
+  bool erodedEmpty(Coord d) const;
+
   friend bool operator==(const Region&, const Region&) = default;
 
  private:

@@ -29,6 +29,19 @@ std::vector<geom::Region> computeFillRegions(
     const DesignRules& rules,
     std::vector<std::vector<geom::Rect>>* blockedOut = nullptr);
 
+/// One window's free space: `window` minus the union of `blocked`, the
+/// window's inflated-wire clips. The per-window kernel of
+/// computeFillRegions; the sharded engine and the ECO path call it on
+/// buckets they build themselves, so all agree by construction.
+geom::Region windowFillRegion(const geom::Rect& window,
+                              const std::vector<geom::Rect>& blocked);
+
+/// The layer's wires inflated by the fill-to-wire spacing, in input order:
+/// the shapes whose per-window clips computeFillRegions reports as
+/// `blockedOut`.
+std::vector<geom::Rect> inflatedWires(const Layout& layout, int layer,
+                                      const DesignRules& rules);
+
 /// Whole-layer fill region (union over windows); used by baselines that do
 /// not operate window-by-window.
 geom::Region computeLayerFillRegion(const Layout& layout, int layer,

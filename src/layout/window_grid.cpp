@@ -41,17 +41,25 @@ void WindowGrid::windowRange(const geom::Rect& r, int& i0, int& j0, int& i1,
 
 std::vector<std::vector<geom::Rect>> WindowGrid::bucketClipped(
     const std::vector<geom::Rect>& rects) const {
+  return bucketClipped(rects, 0, 0, cols_ - 1, rows_ - 1);
+}
+
+std::vector<std::vector<geom::Rect>> WindowGrid::bucketClipped(
+    const std::vector<geom::Rect>& rects, int i0, int j0, int i1,
+    int j1) const {
+  const int rangeCols = i1 - i0 + 1;
   std::vector<std::vector<geom::Rect>> buckets(
-      static_cast<std::size_t>(windowCount()));
+      static_cast<std::size_t>(rangeCols) * static_cast<std::size_t>(j1 - j0 + 1));
   for (const geom::Rect& r : rects) {
     if (r.empty()) continue;
-    int i0, j0, i1, j1;
-    windowRange(r, i0, j0, i1, j1);
-    for (int j = j0; j <= j1; ++j) {
-      for (int i = i0; i <= i1; ++i) {
+    int ri0, rj0, ri1, rj1;
+    windowRange(r, ri0, rj0, ri1, rj1);
+    for (int j = std::max(rj0, j0); j <= std::min(rj1, j1); ++j) {
+      for (int i = std::max(ri0, i0); i <= std::min(ri1, i1); ++i) {
         const geom::Rect clip = r.intersection(windowRect(i, j));
         if (!clip.empty()) {
-          buckets[static_cast<std::size_t>(flatIndex(i, j))].push_back(clip);
+          buckets[static_cast<std::size_t>((j - j0) * rangeCols + (i - i0))]
+              .push_back(clip);
         }
       }
     }

@@ -38,6 +38,14 @@ class WindowGrid {
   std::vector<std::vector<geom::Rect>> bucketClipped(
       const std::vector<geom::Rect>& rects) const;
 
+  /// bucketClipped restricted to the windows [i0, i1] x [j0, j1], indexed
+  /// row-major over that range. A window's bucket holds the same clips in
+  /// the same (input) order as in the whole-grid result, since a clip
+  /// depends only on the rect and the window.
+  std::vector<std::vector<geom::Rect>> bucketClipped(
+      const std::vector<geom::Rect>& rects, int i0, int j0, int i1,
+      int j1) const;
+
   /// Per-window covered area of a (possibly overlapping) rect set; the
   /// basis of density analysis.
   std::vector<geom::Area> coveredAreaPerWindow(

@@ -84,5 +84,87 @@ TEST(RegionTest, ShrunkPointStaysInsideOriginal) {
   }
 }
 
+// erodedEmpty(d) must agree with shrunk(d).empty() everywhere; its fast
+// path (one rect wider and taller than 2d) may only ever answer "no".
+
+bool noRectPassesFastPath(const Region& region, Coord d) {
+  for (const Rect& r : region.rects()) {
+    if (r.width() > 2 * d && r.height() > 2 * d) return false;
+  }
+  return true;
+}
+
+TEST(RegionTest, ErodedEmptyOnEmptyRegionAndZeroDistance) {
+  const Region empty;
+  EXPECT_TRUE(empty.erodedEmpty(0));
+  EXPECT_TRUE(empty.erodedEmpty(5));
+  const Region sliver(Rect{0, 0, 1, 40});
+  EXPECT_FALSE(sliver.erodedEmpty(0));
+  EXPECT_EQ(sliver.erodedEmpty(0), sliver.shrunk(0).empty());
+  EXPECT_TRUE(sliver.erodedEmpty(1));
+}
+
+TEST(RegionTest, ErodedEmptyThresholdIsTwoDPlusOne) {
+  // A w x w square survives erosion by d exactly when w >= 2d + 1.
+  for (Coord d = 1; d <= 6; ++d) {
+    const Region fits(Rect{0, 0, 2 * d + 1, 2 * d + 1});
+    const Region tooThin(Rect{0, 0, 2 * d, 100});
+    EXPECT_FALSE(fits.erodedEmpty(d)) << "d " << d;
+    EXPECT_TRUE(tooThin.erodedEmpty(d)) << "d " << d;
+    EXPECT_EQ(fits.erodedEmpty(d), fits.shrunk(d).empty());
+    EXPECT_EQ(tooThin.erodedEmpty(d), tooThin.shrunk(d).empty());
+  }
+}
+
+TEST(RegionTest, ErodedEmptyFallsBackWhenOnlyTheUnionAdmitsTheSquare) {
+  // A 20x20 square as 4-wide vertical slabs: no slab passes the fast
+  // path for d = 3, yet the union keeps a 14x14 core.
+  std::vector<Rect> slabs;
+  for (Coord x = 0; x < 20; x += 4) slabs.push_back({x, 0, x + 4, 20});
+  const Region slabbed = Region::fromDisjoint(slabs);
+  ASSERT_TRUE(noRectPassesFastPath(slabbed, 3));
+  EXPECT_FALSE(slabbed.erodedEmpty(3));
+  EXPECT_FALSE(slabbed.shrunk(3).empty());
+
+  // The same in canonical form: the sweep merges slabs along x only
+  // while their y-extent agrees, so teeth on the square's top edge cut
+  // the normalized decomposition into 1-wide columns.
+  std::vector<Rect> comb{{0, 0, 20, 20}};
+  for (Coord x = 1; x < 20; x += 2) comb.push_back({x, 20, x + 1, 22});
+  const Region combed(comb);
+  ASSERT_TRUE(noRectPassesFastPath(combed, 3));
+  EXPECT_FALSE(combed.erodedEmpty(3));
+  EXPECT_FALSE(combed.shrunk(3).empty());
+
+  // Slabs whose union is itself too thin stay empty through the fallback.
+  const Region thinSlabs = Region::fromDisjoint(
+      std::vector<Rect>{{0, 0, 3, 6}, {3, 0, 6, 6}});
+  ASSERT_TRUE(noRectPassesFastPath(thinSlabs, 3));
+  EXPECT_TRUE(thinSlabs.erodedEmpty(3));
+  EXPECT_TRUE(thinSlabs.shrunk(3).empty());
+}
+
+TEST(RegionTest, ErodedEmptyMatchesShrunkOnRandomRegions) {
+  Rng rng(2015);
+  int fallbacks = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Rect> rects;
+    const int count = static_cast<int>(rng.uniformInt(0, 8));
+    const Coord maxSide = rng.bernoulli(0.5) ? 8 : 25;  // slivers vs. blocks
+    for (int k = 0; k < count; ++k) {
+      rects.push_back(testutil::randomRect(rng, 60, maxSide));
+    }
+    const Region region(rects);
+    // d = minWidth / 2 for even and odd minWidth, including 0 and 1.
+    for (const Coord minWidth : {0, 1, 2, 5, 7, 9, 10, 13}) {
+      const Coord d = minWidth / 2;
+      if (noRectPassesFastPath(region, d)) ++fallbacks;
+      EXPECT_EQ(region.erodedEmpty(d), region.shrunk(d).empty())
+          << "trial " << trial << " minWidth " << minWidth;
+    }
+  }
+  EXPECT_GT(fallbacks, 100);  // the fallback path is exercised too
+}
+
 }  // namespace
 }  // namespace ofl::geom

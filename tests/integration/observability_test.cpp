@@ -6,6 +6,8 @@
 // off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/json_util.hpp"
+#include "contest/benchmark_generator.hpp"
 #include "fill/fill_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -188,6 +191,77 @@ TEST_F(ObservabilityIntegrationTest, JobIdFlowsIntoWindowSpans) {
     }
   }
   EXPECT_TRUE(sawWindowSpanWithJob);
+}
+
+TEST_F(ObservabilityIntegrationTest, EcoStageSpansCoverTheEcoRun) {
+  // An ECO run's top-level stage spans (prep, plan, refill) sit inside its
+  // engine.eco span, carry the affected-window count, and account for
+  // nearly all of its wall time.
+  const contest::BenchmarkSpec spec = contest::BenchmarkGenerator::spec("tiny");
+  layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
+  fill::FillEngineOptions opt = fastOptions();
+  opt.windowSize = spec.windowSize;
+  opt.rules = spec.rules;
+  opt.numThreads = 2;
+  opt.jobId = 9;
+  const fill::FillEngine engine(opt);
+  engine.run(chip);
+  obs::Tracer::instance().clear();
+
+  // Window (3, 3) alone: the change stays a spacing away from its border.
+  const geom::Rect changed{3 * 1200 + 100, 3 * 1200 + 100, 4 * 1200 - 100,
+                           4 * 1200 - 100};
+  const fill::FillReport report = engine.runIncremental(chip, changed);
+  EXPECT_GT(report.planningSeconds, 0.0);
+
+  const auto events = obs::Tracer::instance().collect();
+  auto argOf = [](const obs::TraceEvent& e, const std::string& key) {
+    for (int a = 0; a < e.argCount; ++a) {
+      if (key == e.argKeys[a]) return e.argValues[a];
+    }
+    return -1.0;
+  };
+  const obs::Tracer::CollectedEvent* eco = nullptr;
+  for (const auto& ce : events) {
+    if (std::string(ce.event.name) == "engine.eco") {
+      ASSERT_EQ(eco, nullptr) << "one engine.eco span per ECO run";
+      eco = &ce;
+    }
+  }
+  ASSERT_NE(eco, nullptr);
+  const std::uint64_t ecoEnd = eco->event.startNs + eco->event.durNs;
+
+  std::vector<const obs::TraceEvent*> stages;  // same thread, inside eco
+  for (const auto& ce : events) {
+    if (&ce == eco || ce.tid != eco->tid ||
+        std::string(ce.event.cat) != "engine") {
+      continue;
+    }
+    ASSERT_GE(ce.event.startNs, eco->event.startNs) << ce.event.name;
+    ASSERT_LE(ce.event.startNs + ce.event.durNs, ecoEnd) << ce.event.name;
+    stages.push_back(&ce.event);
+  }
+  std::sort(stages.begin(), stages.end(),
+            [](const obs::TraceEvent* a, const obs::TraceEvent* b) {
+              return a->startNs < b->startNs;
+            });
+  const std::vector<std::string> kStages = {
+      "engine.eco_prep", "engine.eco_plan", "engine.eco_refill"};
+  ASSERT_EQ(stages.size(), kStages.size());
+  std::uint64_t covered = 0;
+  for (std::size_t k = 0; k < stages.size(); ++k) {
+    EXPECT_EQ(stages[k]->name, kStages[k]);
+    EXPECT_EQ(argOf(*stages[k], "windows"), 1.0) << kStages[k];
+    EXPECT_EQ(argOf(*stages[k], "job"), 9.0) << kStages[k];
+    if (k > 0) {
+      EXPECT_GE(stages[k]->startNs,
+                stages[k - 1]->startNs + stages[k - 1]->durNs)
+          << kStages[k] << " overlaps its predecessor";
+    }
+    covered += stages[k]->durNs;
+  }
+  EXPECT_GE(static_cast<double>(covered),
+            0.8 * static_cast<double>(eco->event.durNs));
 }
 
 }  // namespace
