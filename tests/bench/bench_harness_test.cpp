@@ -1,11 +1,13 @@
 // Tests for the shared benchmark harness (src/bench/): statistics
 // determinism, MAD outlier rejection, bootstrap CI behaviour, the
 // BENCH_*.json schema round-trip through bench/report, warmup
-// suppression, and the bench-compare regression verdicts + exit codes.
+// suppression, the bench-compare regression verdicts + exit codes, and
+// the committed baselines the CI regression gate compares against.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,6 +234,36 @@ TEST_F(BenchCompareTest, MissingSeriesCountsAsRegression) {
   const CompareResult r = compare(base, current, 0.05);
   EXPECT_EQ(r.missing, 1u);
   EXPECT_TRUE(r.hasRegression());
+}
+
+// CI's perf-smoke job gates every bench named in its
+// `for b in ...; do bench-compare bench/baselines/BENCH_$b.json ...` loop.
+// A baseline missing from the repo makes that gate exit 2 on every run,
+// so each one must be committed and parse as openfill-bench-v1.
+TEST(BenchBaselinesTest, EveryBaselineTheCiGateNamesExistsAndParses) {
+  const fs::path root = OFL_SOURCE_DIR;
+  std::ifstream ci(root / ".github" / "workflows" / "ci.yml");
+  ASSERT_TRUE(ci.good()) << "cannot read the CI workflow";
+  std::vector<std::string> names;
+  for (std::string line; std::getline(ci, line);) {
+    const std::size_t loop = line.find("for b in ");
+    const std::size_t body = line.find("; do");
+    if (loop == std::string::npos || body == std::string::npos) continue;
+    std::istringstream list(line.substr(loop + 9, body - loop - 9));
+    for (std::string name; list >> name;) names.push_back(name);
+  }
+  ASSERT_FALSE(names.empty()) << "no baseline loop found in ci.yml";
+  for (const std::string& name : names) {
+    const fs::path path = root / "bench" / "baselines" /
+                          ("BENCH_" + name + ".json");
+    BenchDoc doc;
+    std::string error;
+    ASSERT_TRUE(BenchDoc::load(path.string(), doc, error))
+        << path << ": " << error;
+    EXPECT_EQ(doc.schema, "openfill-bench-v1") << path;
+    EXPECT_EQ(doc.benchmark, name) << path;
+    EXPECT_FALSE(doc.series.empty()) << path;
+  }
 }
 
 }  // namespace
