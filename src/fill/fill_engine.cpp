@@ -474,11 +474,13 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
               layout::windowFillRegion(affectedRects[a], blockedBuckets[l][a]);
         }
       }
-      // Plan with unaffected windows frozen at their current density:
-      // their lower and upper bounds collapse to the as-filled value, so
-      // the target sweep can only adapt the affected windows. Pinned mode
-      // reads affected windows' bounds only (targets are not re-swept, so
-      // they cannot drift), and leaves the rest at 0.
+      // Legacy mode plans with unaffected windows frozen at their current
+      // density: their lower and upper bounds collapse to the as-filled
+      // value, so the target sweep can only adapt the affected windows.
+      // Pinned mode clamps the stored targets into the affected windows'
+      // fresh bounds exactly as the depositing run did, and reads no
+      // other window's (targets are not re-swept, so they cannot drift);
+      // those stay 0.
       auto& b = bounds[l];
       b.lower.assign(numWindows, 0.0);
       b.upper.assign(numWindows, 0.0);

@@ -17,7 +17,6 @@
 #include "gds/stream_flatten.hpp"
 #include "gds/stream_reader.hpp"
 #include "gds/stream_writer.hpp"
-#include "geometry/boolean.hpp"
 #include "geometry/decompose.hpp"
 #include "geometry/polygon.hpp"
 #include "layout/fill_region.hpp"

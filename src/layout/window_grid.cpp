@@ -49,7 +49,8 @@ std::vector<std::vector<geom::Rect>> WindowGrid::bucketClipped(
     int j1) const {
   const int rangeCols = i1 - i0 + 1;
   std::vector<std::vector<geom::Rect>> buckets(
-      static_cast<std::size_t>(rangeCols) * static_cast<std::size_t>(j1 - j0 + 1));
+      static_cast<std::size_t>(rangeCols) *
+      static_cast<std::size_t>(j1 - j0 + 1));
   for (const geom::Rect& r : rects) {
     if (r.empty()) continue;
     int ri0, rj0, ri1, rj1;

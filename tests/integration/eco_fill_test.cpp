@@ -231,10 +231,10 @@ class EcoGoldenTest : public ::testing::TestWithParam<EcoMode> {
   static constexpr geom::Coord kW = 1200;  // window size
   static constexpr geom::Coord kS = 10;    // minSpacing of the tiny rules
 
-  // Window-aligned rect [i0, i1) x [j0, j1) in window units plus offsets.
+  // Rect [i0, i1) x [j0, j1) in (possibly fractional) window units.
   static geom::Rect span(double i0, double j0, double i1, double j1) {
-    return {static_cast<geom::Coord>(i0 * kW), static_cast<geom::Coord>(j0 * kW),
-            static_cast<geom::Coord>(i1 * kW), static_cast<geom::Coord>(j1 * kW)};
+    auto at = [](double units) { return static_cast<geom::Coord>(units * kW); };
+    return {at(i0), at(j0), at(i1), at(j1)};
   }
 
   static std::vector<EcoEdit> edits() {

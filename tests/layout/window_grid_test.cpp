@@ -70,6 +70,32 @@ TEST(WindowGridTest, BucketClipStaysInWindow) {
   }
 }
 
+TEST(WindowGridTest, RangeBucketsEqualWholeGridBuckets) {
+  // Edge-clipped last row/column, shapes outside the die and overlapping
+  // shapes: every range's bucket must equal the whole-grid bucket of the
+  // same window, clip for clip and in the same order.
+  const WindowGrid grid({0, 0, 100, 90}, 30);
+  const std::vector<geom::Rect> shapes{
+      {-10, -10, 40, 5}, {5, 5, 95, 15}, {5, 5, 15, 95},  {50, 50, 80, 80},
+      {70, 70, 120, 99}, {29, 0, 31, 90}, {60, 85, 61, 86}, {40, 40, 40, 60}};
+  const auto whole = grid.bucketClipped(shapes);
+  const int ranges[][4] = {{0, 0, 0, 0}, {1, 1, 2, 2}, {0, 0, 3, 2},
+                           {3, 2, 3, 2}, {2, 0, 3, 1}};
+  for (const auto& r : ranges) {
+    const auto part = grid.bucketClipped(shapes, r[0], r[1], r[2], r[3]);
+    ASSERT_EQ(part.size(), static_cast<std::size_t>((r[2] - r[0] + 1) *
+                                                    (r[3] - r[1] + 1)));
+    std::size_t a = 0;
+    for (int j = r[1]; j <= r[3]; ++j) {
+      for (int i = r[0]; i <= r[2]; ++i, ++a) {
+        EXPECT_EQ(part[a],
+                  whole[static_cast<std::size_t>(grid.flatIndex(i, j))])
+            << "window (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
 TEST(WindowGridTest, CoveredAreaCountsOverlapOnce) {
   const WindowGrid grid({0, 0, 20, 20}, 20);
   // Two crossing wires overlap in a 4x4 square.
