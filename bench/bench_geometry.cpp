@@ -20,7 +20,6 @@
 #include "geometry/contour.hpp"
 #include "geometry/decompose.hpp"
 #include "geometry/grid_index.hpp"
-#include "geometry/rtree.hpp"
 #include "layout/window_grid.hpp"
 
 using namespace ofl;
@@ -131,19 +130,6 @@ int main(int argc, char** argv) {
                        gSink = gSink + hits;
                      }});
   }
-  for (const int n : {1000, 20000}) {
-    auto rects = randomRects(n, 19200, 120, 31);
-    auto tree = std::make_shared<RTree>(rects);
-    auto queries = std::make_shared<std::vector<Rect>>(probeQueries(256, 32));
-    auto qi = std::make_shared<std::size_t>(0);
-    cases.push_back({"rtree_query_" + std::to_string(n),
-                     [tree, queries, qi] {
-                       std::size_t hits = 0;
-                       tree->visit((*queries)[(*qi)++ & 255],
-                                   [&hits](std::uint32_t) { ++hits; });
-                       gSink = gSink + hits;
-                     }});
-  }
   // Eqn. 8 overlap-sum kernel, brute vs indexed. The fill pipeline's
   // byte-identity contract rests on the indexed accumulations returning
   // EXACTLY the brute-force sums, so the indexed cases verify equality on
@@ -184,29 +170,6 @@ int main(int argc, char** argv) {
       }
       auto qi = std::make_shared<std::size_t>(0);
       cases.push_back({"overlap_sum_grid_" + tag,
-                       [indexedSum, queries, qi] {
-                         gSink = gSink + static_cast<std::uint64_t>(
-                             indexedSum((*queries)[(*qi)++ & 255]));
-                       }});
-    }
-    {
-      auto tree = std::make_shared<RTree>(*shapes);
-      auto indexedSum = [tree, shapes](const Rect& q) {
-        Area total = 0;
-        tree->visit(q, [&](std::uint32_t id) {
-          total += q.overlapArea((*shapes)[id]);
-        });
-        return total;
-      };
-      for (const Rect& q : *queries) {
-        if (indexedSum(q) != overlapAreaSum(q, *shapes)) {
-          std::fprintf(stderr,
-                       "FAIL: RTree overlap sum diverges from brute\n");
-          overlapSumsExact = false;
-        }
-      }
-      auto qi = std::make_shared<std::size_t>(0);
-      cases.push_back({"overlap_sum_rtree_" + tag,
                        [indexedSum, queries, qi] {
                          gSink = gSink + static_cast<std::uint64_t>(
                              indexedSum((*queries)[(*qi)++ & 255]));

@@ -1,18 +1,15 @@
-// Hot-path study for the spatial-index geometry kernels: one contest
-// benchmark, single-threaded, run per-rep in three configs -- spatialIndex
-// ON (the default GridIndex-backed candidate scorer and sizer kernels),
-// OFF (the original brute scans), and the pre-warm-start sizer baseline.
-// The profiling registry records per-stage thread-seconds for every run;
-// the key series is the candidate-stage speedup (the O(C*N) overlay
-// scoring the index replaced).
+// Hot-path profile of the fill pipeline: one contest benchmark filled
+// single-threaded per rep with the default engine. The profiling registry
+// records per-stage thread-seconds (wall series, gated only on the
+// baseline's machine) and the engine's work counters: windows, candidates,
+// spatial-index builds and queries, MCF solves, warm starts and early
+// exits. The counters are exact functions of the input, so they are
+// ratio-scale series that bench-compare gates on every machine: a change
+// that makes the indexed kernels or the warm-started sizer do more work
+// shows up there without a timing A/B.
 //
-// All configs must produce BIT-IDENTICAL fills -- that is the contract
-// that lets the index default on -- so the bench exits nonzero when fill
-// hashes diverge or when the indexed candidate stage is slower than brute
-// on average (the CI perf-smoke gate). The harness interleaves configs
-// within each rep and discards shared warmup rounds, so no variant is
-// stuck paying the cold-cache start (the old hand-rolled best-of-3 loop
-// always charged it to the brute config). Results: BENCH_hotpath.json.
+// The bench exits nonzero when the fills or the counters differ between
+// reps. Results: BENCH_hotpath.json.
 //
 // Usage: bench_hotpath [suite] [reps] [--reps N] [--warmup N] [--out F]
 #include <cstdint>
@@ -57,22 +54,13 @@ struct Run {
   prof::Snapshot profile;
 };
 
-Run runOnce(const layout::Layout& original, const contest::BenchmarkSpec& spec,
-            bool spatialIndex, bool warmSizer = true) {
+Run runOnce(const layout::Layout& original,
+            const contest::BenchmarkSpec& spec) {
   layout::Layout chip = original;
   fill::FillEngineOptions o;
   o.windowSize = spec.windowSize;
   o.rules = spec.rules;
   o.numThreads = 1;
-  o.candidate.spatialIndex = spatialIndex;
-  o.sizer.spatialIndex = spatialIndex;
-  if (!warmSizer) {
-    // Pre-warm-start sizer baseline: cold solves, full per-pivot tree
-    // rebuild. Feeds the warm_sizing_speedup series.
-    o.sizer.mcfWarmStart = false;
-    o.sizer.mcfEarlyExit = false;
-    o.sizer.mcfFullRefresh = true;
-  }
 
   prof::Registry::instance().reset();
   Run run;
@@ -85,8 +73,11 @@ Run runOnce(const layout::Layout& original, const contest::BenchmarkSpec& spec,
   return run;
 }
 
-double stageSeconds(const Run& run, prof::Stage stage) {
-  return run.profile.stage(stage).seconds();
+// Stage names without the nesting indent ("  mcf-solve" -> "mcf-solve").
+std::string stageKey(prof::Stage stage) {
+  std::string key = prof::stageName(stage);
+  key.erase(0, key.find_first_not_of(' '));
+  return key;
 }
 
 }  // namespace
@@ -107,79 +98,65 @@ int main(int argc, char** argv) {
   h.param("suite", spec.name);
   h.param("threads", static_cast<std::int64_t>(1));
 
-  Series& candBrute = h.series("candidates_brute_s", "s");
-  Series& candIndexed = h.series("candidates_indexed_s", "s");
-  Series& sizBrute = h.series("sizing_brute_s", "s");
-  Series& sizIndexed = h.series("sizing_indexed_s", "s");
-  Series& sizBase = h.series("sizing_basesizer_s", "s");
-  Series& wallBrute = h.series("wall_brute_s", "s");
-  Series& wallIndexed = h.series("wall_indexed_s", "s");
+  Series& wall = h.series("wall_s", "s");
+  std::vector<std::pair<prof::Stage, Series*>> stages;
+  for (int s = 0; s < static_cast<int>(prof::Stage::kCount); ++s) {
+    const auto stage = static_cast<prof::Stage>(s);
+    stages.push_back({stage, &h.series(stageKey(stage) + "_s", "s")});
+  }
+  const struct {
+    prof::Counter counter;
+    Direction direction;
+  } gatedCounters[] = {
+      {prof::Counter::kWindows, Direction::kLowerIsBetter},
+      {prof::Counter::kCandidates, Direction::kLowerIsBetter},
+      {prof::Counter::kIndexBuilds, Direction::kLowerIsBetter},
+      {prof::Counter::kIndexQueries, Direction::kLowerIsBetter},
+      {prof::Counter::kMcfSolves, Direction::kLowerIsBetter},
+      {prof::Counter::kMcfWarmStarts, Direction::kHigherIsBetter},
+      {prof::Counter::kMcfEarlyExits, Direction::kHigherIsBetter},
+  };
+  std::vector<std::pair<prof::Counter, Series*>> counters;
+  for (const auto& c : gatedCounters) {
+    counters.push_back(
+        {c.counter, &h.series(prof::counterName(c.counter), "count",
+                              c.direction, Scale::kRatio)});
+  }
 
-  std::uint64_t refHash = 0;
-  std::size_t refFills = 0;
   bool haveRef = false;
   bool identical = true;
-  Run lastBrute, lastIndexed, lastBase;
-  const auto note = [&](const Run& r) {
-    if (!haveRef) {
-      refHash = r.hash;
-      refFills = r.fills;
-      haveRef = true;
-    } else if (r.hash != refHash || r.fills != refFills) {
-      identical = false;
-    }
-  };
-
+  bool countersRepeat = true;
+  Run ref;
+  Run last;
   prof::Registry::instance().setEnabled(true);
-  h.runInterleaved({
-      [&] {
-        Run r = runOnce(original, spec, /*spatialIndex=*/false);
-        note(r);
-        candBrute.record(stageSeconds(r, prof::Stage::kCandidates));
-        sizBrute.record(stageSeconds(r, prof::Stage::kSizing));
-        wallBrute.record(r.wall);
-        lastBrute = std::move(r);
-      },
-      [&] {
-        Run r = runOnce(original, spec, /*spatialIndex=*/true);
-        note(r);
-        candIndexed.record(stageSeconds(r, prof::Stage::kCandidates));
-        sizIndexed.record(stageSeconds(r, prof::Stage::kSizing));
-        wallIndexed.record(r.wall);
-        lastIndexed = std::move(r);
-      },
-      [&] {
-        Run r = runOnce(original, spec, true, /*warmSizer=*/false);
-        note(r);
-        sizBase.record(stageSeconds(r, prof::Stage::kSizing));
-        lastBase = std::move(r);
-      },
-  });
+  h.runInterleaved({[&] {
+    Run r = runOnce(original, spec);
+    if (!haveRef) {
+      ref = r;
+      haveRef = true;
+    } else {
+      identical = identical && r.hash == ref.hash && r.fills == ref.fills;
+      countersRepeat =
+          countersRepeat && r.profile.counters == ref.profile.counters;
+    }
+    wall.record(r.wall);
+    for (const auto& [stage, series] : stages) {
+      series->record(r.profile.stage(stage).seconds());
+    }
+    for (const auto& [counter, series] : counters) {
+      series->record(static_cast<double>(r.profile.counter(counter)));
+    }
+    last = std::move(r);
+  }});
   prof::Registry::instance().setEnabled(false);
 
-  const struct {
-    const char* name;
-    const Run* run;
-  } views[] = {{"brute", &lastBrute},
-               {"indexed", &lastIndexed},
-               {"basesizer", &lastBase}};
-  for (const auto& v : views) {
-    std::printf("\n-- %s (wall %.2fs, %zu fills, hash %llx) --\n", v.name,
-                v.run->wall, v.run->fills,
-                static_cast<unsigned long long>(v.run->hash));
-    std::fputs(v.run->profile.human().c_str(), stdout);
-  }
+  std::printf("\n-- wall %.2fs, %zu fills, hash %llx --\n", last.wall,
+              last.fills, static_cast<unsigned long long>(last.hash));
+  std::fputs(last.profile.human().c_str(), stdout);
   std::printf("\n");
-
-  Series& candSpeedup =
-      h.recordRatio("candidate_speedup", candBrute, candIndexed);
-  h.recordRatio("sizing_speedup", sizBrute, sizIndexed);
-  h.recordRatio("warm_sizing_speedup", sizBase, sizIndexed);
-  h.recordRatio("total_speedup", wallBrute, wallIndexed);
-  h.param("fill_count", static_cast<std::int64_t>(refFills));
+  h.param("fill_count", static_cast<std::int64_t>(ref.fills));
 
   h.check("identical", identical);
-  const SeriesStats speedup = computeStats(candSpeedup.samples());
-  h.check("indexed_not_slower", speedup.mean >= 1.0);
+  h.check("counters_repeat", countersRepeat);
   return h.finish();
 }

@@ -6,19 +6,21 @@
 //  1. Solver level: fill-sizing-shaped differential LP sequences (each
 //     "window" solves H1,V1,H2,V2 — round 2 repeats the topology with
 //     perturbed costs, the exact pattern FillSizer emits) are replayed
-//     through four context configurations — baseline (pre-incremental),
-//     cold (network reuse only), warm (basis reuse), warm+early
-//     (sensitivity memo). Per-solve ns and the warm/early hit counts
-//     come from here.
+//     through three context configurations — cold (network reuse only),
+//     warm (basis reuse), warm+early (sensitivity memo). Per-solve ns come
+//     from here, and the warm-start and early-exit counts, which are exact
+//     functions of the replayed sequences, are ratio-scale series that
+//     gate on every machine.
 //
 //  2. Engine level: a contest suite is filled, sizer warm+early ON vs
 //     OFF, single-threaded, and the sizing-stage thread-seconds are
 //     compared. This is the end-to-end "dominant stage" speedup.
 //
-// The harness interleaves configurations within each rep so load spikes
-// land on every config evenly, and discards shared warmup rounds. The
-// bench exits nonzero when any config diverges or when no warm start
-// fired (the CI perf-smoke gate). Results go to BENCH_mcf.json.
+// Speedups are relative to the cold configuration. The harness
+// interleaves configurations within each rep so load spikes land on every
+// config evenly, and discards shared warmup rounds. The bench exits
+// nonzero when any config diverges or when no warm start fired (the CI
+// perf-smoke gate). Results go to BENCH_mcf.json.
 //
 // Usage: bench_mcf [suite] [reps] [--reps N] [--warmup N] [--out F]
 #include <algorithm>
@@ -90,13 +92,13 @@ struct SolverRun {
 // given options; one context per sequence, exactly like the sizer's
 // per-(layer,direction) contexts.
 SolverRun replay(const std::vector<std::vector<DifferentialLp>>& sequences,
-                 bool warm, bool early, bool fullRefresh = false) {
+                 bool warm, bool early) {
   SolverRun run;
   std::uint64_t h = 1469598103934665603ull;
   Timer t;
   for (const auto& seq : sequences) {
-    DualMcfContext context(DualMcfContext::Options{
-        McfBackend::kNetworkSimplex, warm, early, 0, fullRefresh});
+    DualMcfContext context(
+        DualMcfContext::Options{McfBackend::kNetworkSimplex, warm, early, 0});
     for (const DifferentialLp& lp : seq) {
       const DiffLpResult r = context.solve(lp);
       ++run.solves;
@@ -142,8 +144,7 @@ std::uint64_t fillHash(const layout::Layout& chip) {
 }
 
 EngineRun engineOnce(const layout::Layout& original,
-                     const contest::BenchmarkSpec& spec, bool warm,
-                     bool fullRefresh) {
+                     const contest::BenchmarkSpec& spec, bool warm) {
   layout::Layout chip = original;
   fill::FillEngineOptions o;
   o.windowSize = spec.windowSize;
@@ -151,7 +152,6 @@ EngineRun engineOnce(const layout::Layout& original,
   o.numThreads = 1;
   o.sizer.mcfWarmStart = warm;
   o.sizer.mcfEarlyExit = warm;
-  o.sizer.mcfFullRefresh = fullRefresh;
   prof::Registry::instance().reset();
   EngineRun run;
   Timer t;
@@ -199,12 +199,11 @@ int main(int argc, char** argv) {
   h.param("sequences", static_cast<std::int64_t>(kSequences));
   h.param("fills_per_lp", static_cast<std::int64_t>(kFills));
 
-  // "baseline" is the pre-incremental solver: cold starts plus a full
-  // tree rebuild after every pivot. "cold" isolates the always-on solver
-  // improvements; "warm"/"warm+early" add the optional reuse layers.
+  // "cold" has only the always-on solver improvements; "warm" and
+  // "warm+early" add the optional reuse layers.
   struct SolverSlot {
     const char* config;
-    bool warm, early, fullRefresh;
+    bool warm, early;
     Series* seconds;
     SolverRun last;
     std::uint64_t refHash = 0;
@@ -212,10 +211,9 @@ int main(int argc, char** argv) {
     bool identical = true;
   };
   std::vector<SolverSlot> solver = {
-      {"baseline", false, false, true, nullptr, {}},
-      {"cold", false, false, false, nullptr, {}},
-      {"warm", true, false, false, nullptr, {}},
-      {"warm_early", true, true, false, nullptr, {}},
+      {"cold", false, false, nullptr, {}},
+      {"warm", true, false, nullptr, {}},
+      {"warm_early", true, true, nullptr, {}},
   };
   for (SolverSlot& s : solver) {
     s.seconds = &h.series(std::string("solver_") + s.config + "_s", "s");
@@ -224,7 +222,7 @@ int main(int argc, char** argv) {
   solverBodies.reserve(solver.size());
   for (SolverSlot& s : solver) {
     solverBodies.push_back([&s, &sequences] {
-      const SolverRun r = replay(sequences, s.warm, s.early, s.fullRefresh);
+      const SolverRun r = replay(sequences, s.warm, s.early);
       if (!s.haveRef) {
         s.refHash = r.xHash;
         s.haveRef = true;
@@ -260,19 +258,21 @@ int main(int argc, char** argv) {
               solverIdentical ? "BYTE-IDENTICAL" : "DIVERGED (BUG!)");
 
   h.recordRatio("solver_warm_speedup", *solver[0].seconds,
-                *solver[2].seconds);
+                *solver[1].seconds);
   h.recordRatio("solver_warm_early_speedup", *solver[0].seconds,
-                *solver[3].seconds);
-  h.param("solver_warm_starts",
-          static_cast<std::int64_t>(solver[2].last.warmStarts));
-  h.param("solver_early_exits",
-          static_cast<std::int64_t>(solver[3].last.earlyExits));
+                *solver[2].seconds);
+  h.series("solver_warm_starts", "count", Direction::kHigherIsBetter,
+           Scale::kRatio)
+      .record(static_cast<double>(solver[1].last.warmStarts));
+  h.series("solver_early_exits", "count", Direction::kHigherIsBetter,
+           Scale::kRatio)
+      .record(static_cast<double>(solver[2].last.earlyExits));
 
   // --- Engine-level sizing A/B ---
   const layout::Layout original = contest::BenchmarkGenerator::generate(spec);
   struct EngineSlot {
     const char* config;
-    bool warm, fullRefresh;
+    bool warm;
     Series* sizing;
     Series* wall;
     EngineRun last;
@@ -282,9 +282,8 @@ int main(int argc, char** argv) {
     bool identical = true;
   };
   std::vector<EngineSlot> engine = {
-      {"baseline", false, true, nullptr, nullptr, {}},
-      {"cold", false, false, nullptr, nullptr, {}},
-      {"warm", true, false, nullptr, nullptr, {}},
+      {"cold", false, nullptr, nullptr, {}},
+      {"warm", true, nullptr, nullptr, {}},
   };
   for (EngineSlot& e : engine) {
     e.sizing = &h.series(std::string("engine_sizing_") + e.config + "_s", "s");
@@ -294,7 +293,7 @@ int main(int argc, char** argv) {
   engineBodies.reserve(engine.size());
   for (EngineSlot& e : engine) {
     engineBodies.push_back([&e, &original, &spec] {
-      const EngineRun r = engineOnce(original, spec, e.warm, e.fullRefresh);
+      const EngineRun r = engineOnce(original, spec, e.warm);
       if (!e.haveRef) {
         e.refHash = r.hash;
         e.refFills = r.fills;
@@ -318,17 +317,14 @@ int main(int argc, char** argv) {
       engineIdentical = false;
     }
   }
-  const EngineRun& engBase = engine[0].last;
-  const EngineRun& engCold = engine[1].last;
-  const EngineRun& engWarm = engine[2].last;
+  const EngineRun& engCold = engine[0].last;
+  const EngineRun& engWarm = engine[1].last;
   const double warmHitRate =
       engWarm.solves > 0 ? static_cast<double>(engWarm.warmStarts) /
                                static_cast<double>(engWarm.solves)
                          : 0.0;
   std::printf("\n== Engine sizing A/B: suite %s, %zu wires, 1 thread ==\n",
               spec.name.c_str(), original.wireCount());
-  std::printf("  baseline    sizing %.3fs (%lld solves; pre-PR solver)\n",
-              engBase.sizingSeconds, engBase.solves);
   std::printf("  cold-sizer  sizing %.3fs (%lld solves)\n",
               engCold.sizingSeconds, engCold.solves);
   std::printf("  warm-sizer  sizing %.3fs (%lld solves, %lld warm [%.0f%%], "
@@ -338,10 +334,8 @@ int main(int argc, char** argv) {
   std::printf("  fills %s\n",
               engineIdentical ? "BYTE-IDENTICAL" : "DIVERGED (BUG!)");
 
-  h.recordRatio("sizing_speedup_vs_baseline", *engine[0].sizing,
-                *engine[2].sizing);
-  h.recordRatio("sizing_speedup_vs_cold", *engine[1].sizing,
-                *engine[2].sizing);
+  h.recordRatio("sizing_speedup_vs_cold", *engine[0].sizing,
+                *engine[1].sizing);
   h.series("warm_start_hit_rate", "ratio", Direction::kHigherIsBetter,
            Scale::kRatio)
       .record(warmHitRate);
@@ -351,6 +345,6 @@ int main(int argc, char** argv) {
   h.check("solver_identical", solverIdentical);
   h.check("engine_identical", engineIdentical);
   h.check("warm_start_fired",
-          solver[2].last.warmStarts > 0 && engWarm.warmStarts > 0);
+          solver[1].last.warmStarts > 0 && engWarm.warmStarts > 0);
   return h.finish();
 }

@@ -83,7 +83,7 @@ struct Snapshot {
   /// Aligned human-readable table (stage seconds, calls, counters).
   std::string human() const;
   /// JSON object: {"stages": {...}, "counters": {...}} — the schema
-  /// documented in docs/architecture.md and written by bench_hotpath.
+  /// documented in docs/architecture.md and written by --profile-json.
   std::string json() const;
 };
 

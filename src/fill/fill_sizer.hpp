@@ -37,12 +37,6 @@ class FillSizer {
     /// simplex instead of dual min-cost flow (paper Section 3.3.2 vs
     /// 3.3.3). Same optima, different runtime; see bench_ablation.
     bool useLpSolver = false;
-    /// Compute overlay marginals and spacing pairs through per-pass
-    /// GridIndexes instead of scanning every opposing shape per edge.
-    /// Byte-identical output (the index only skips zero terms of integer
-    /// sums, and the pair set is provably the same); toggleable for the
-    /// equivalence tests and benchmarks.
-    bool spatialIndex = true;
     /// Restart each window's min-cost-flow solves from the previous
     /// round's optimal basis when the constraint topology repeats
     /// (NetworkSimplex::resolve). DEFAULT ON: DualMcfContext canonicalizes
@@ -56,11 +50,6 @@ class FillSizer {
     /// round of the same window pass. Exact at the default tolerance; the
     /// skips are counted separately in Stats::earlyExits.
     bool mcfEarlyExit = true;
-    /// Benchmark/debug: full spanning-tree rebuild after every simplex
-    /// pivot (the pre-incremental solver). Byte-identical and slower;
-    /// bench_mcf uses it as the baseline when attributing the sizing
-    /// speedup. Leave off.
-    bool mcfFullRefresh = false;
   };
 
   struct Stats {

@@ -278,7 +278,6 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
   FlowResult flow;
   switch (options_.backend) {
     case McfBackend::kNetworkSimplex:
-      simplex_.setFullPivotRefresh(options_.fullPivotRefresh);
       flow = options_.warmStart ? simplex_.resolve(graph_)
                                 : simplex_.solve(graph_);
       if (simplex_.lastSolveWarm()) {

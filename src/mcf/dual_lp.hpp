@@ -118,11 +118,6 @@ class DualMcfContext {
     bool warmStart = false;
     bool earlyExit = false;
     Value earlyExitTolerance = 0;
-    // Benchmark/debug switch (network-simplex backend only): rebuild the
-    // whole spanning tree after every pivot instead of the incremental
-    // reattach. Byte-identical output, just slower — used by bench_mcf to
-    // measure the pre-incremental baseline.
-    bool fullPivotRefresh = false;
   };
 
   DualMcfContext() = default;

@@ -7,6 +7,8 @@ namespace ofl::testing {
 
 geom::Rect LayoutGen::randomRect(Rng& rng, geom::Coord extent,
                                  geom::Coord maxEdge) {
+  // An edge longer than the extent leaves no room for the origin draw.
+  maxEdge = std::min(maxEdge, extent);
   const geom::Coord w = rng.uniformInt(1, maxEdge);
   const geom::Coord h = rng.uniformInt(1, maxEdge);
   const geom::Coord x = rng.uniformInt(0, extent - w);

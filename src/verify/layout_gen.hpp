@@ -18,7 +18,8 @@ namespace ofl::testing {
 
 class LayoutGen {
  public:
-  /// Random rect fully inside [0, extent)^2 with edges in [1, maxEdge].
+  /// Random rect fully inside [0, extent)^2 with edges in
+  /// [1, min(maxEdge, extent)].
   static geom::Rect randomRect(Rng& rng, geom::Coord extent,
                                geom::Coord maxEdge);
 

@@ -153,10 +153,9 @@ TEST(OverlapSumTest, DisjointVariantAgreesOnDisjointInput) {
   EXPECT_EQ(intersectionArea(q, shapes), sum);
 }
 
-// The two coverage-table kernels must be interchangeable: same canonical
-// decomposition, rect for rect. booleanOpInto emits that decomposition in
-// sweep order, so it must match after a canonical sort.
-TEST_P(BooleanPropertyTest, KernelsBitIdenticalAndIntoMatches) {
+// booleanOpInto emits booleanOp's canonical decomposition in sweep order,
+// so it must match rect for rect after a canonical sort.
+TEST_P(BooleanPropertyTest, IntoMatchesBooleanOp) {
   const auto [opChar, op] = GetParam();
   Rng rng(0x5EEB + static_cast<unsigned>(opChar));
   constexpr int kExtent = 48;
@@ -169,13 +168,9 @@ TEST_P(BooleanPropertyTest, KernelsBitIdenticalAndIntoMatches) {
     for (int k = 0; k < na; ++k) a.push_back(testutil::randomRect(rng, kExtent, 20));
     for (int k = 0; k < nb; ++k) b.push_back(testutil::randomRect(rng, kExtent, 20));
 
-    const auto flat = booleanOp(a, b, op, SweepKernel::kFlat);
-    const auto tree = booleanOp(a, b, op, SweepKernel::kTree);
-    EXPECT_EQ(flat, tree) << "trial " << trial;
-
     booleanOpInto(a, b, op, into);  // reused across trials on purpose
     std::sort(into.begin(), into.end(), RectYXLess{});
-    EXPECT_EQ(into, flat) << "trial " << trial;
+    EXPECT_EQ(into, booleanOp(a, b, op)) << "trial " << trial;
   }
 }
 

@@ -308,21 +308,23 @@ TEST(DualMcfContextTest, EarlyExitOnCostChangeOfFixedVariable) {
   EXPECT_EQ(r.objective, fresh.objective);
 }
 
-TEST(DualMcfContextTest, FullPivotRefreshIsByteIdentical) {
-  // The bench-only full-refresh knob changes pivot bookkeeping cost, not
-  // results: every solve must equal the default incremental path.
+TEST(DualMcfContextTest, WarmNetworkSimplexMatchesSsp) {
+  // Both backends pass through canonicalizeOptimum, so a warm-started
+  // network simplex (incremental pivots on a retained basis) must return
+  // the same x as successive shortest paths, solve for solve.
   Rng rng(75);
-  DualMcfContext slow(DualMcfContext::Options{
-      McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/false,
-      /*earlyExitTolerance=*/0, /*fullPivotRefresh=*/true});
-  DualMcfContext fast(DualMcfContext::Options{
+  DualMcfContext warm(DualMcfContext::Options{
       McfBackend::kNetworkSimplex, /*warmStart=*/true, /*earlyExit=*/false});
+  DualMcfContext ssp(
+      DualMcfContext::Options{McfBackend::kSuccessiveShortestPath});
   for (int round = 0; round < 30; ++round) {
     const DifferentialLp lp = randomLpFixedTopology(rng);
-    const DiffLpResult a = slow.solve(lp);
-    const DiffLpResult b = fast.solve(lp);
+    const DiffLpResult a = ssp.solve(lp);
+    const DiffLpResult b = warm.solve(lp);
     ASSERT_EQ(a.feasible, b.feasible) << "round " << round;
-    if (a.feasible) EXPECT_EQ(a.x, b.x) << "round " << round;
+    if (a.feasible) {
+      EXPECT_EQ(a.x, b.x) << "round " << round;
+    }
   }
 }
 

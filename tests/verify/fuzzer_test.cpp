@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/rng.hpp"
 #include "verify/fuzzer.hpp"
+#include "verify/layout_gen.hpp"
 #include "verify/repro.hpp"
 
 namespace ofl::verify {
@@ -41,6 +43,17 @@ TEST(FuzzerGenerateTest, CasesAreValid) {
       for (const geom::Rect& w : fuzzCase.layout.layer(l).wires) {
         EXPECT_TRUE(fuzzCase.layout.die().contains(w));
       }
+    }
+  }
+  // The shared rect helper with an edge bound above the extent: edges are
+  // clamped to the extent, so every rect still fits.
+  Rng rng(9);
+  for (const geom::Coord extent : {1, 7, 60}) {
+    const geom::Rect box{0, 0, extent, extent};
+    for (int trial = 0; trial < 50; ++trial) {
+      const geom::Rect r = testing::LayoutGen::randomRect(rng, extent, 80);
+      EXPECT_FALSE(r.empty()) << "extent " << extent;
+      EXPECT_TRUE(box.contains(r)) << "extent " << extent;
     }
   }
 }
