@@ -207,13 +207,25 @@ CompareResult compare(const BenchDoc& baseline, const BenchDoc& current,
     // CI test: does the current interval exclude the baseline mean?
     const bool ciExcludes =
         base.mean < cur->ciLo || base.mean > cur->ciHi;
-    if (rel > threshold && ciExcludes) {
+    // An exact series (a ratio-scale series whose baseline and current CIs
+    // both have zero width, e.g. a work counter) has no noise for the
+    // threshold to absorb: any move in its worse direction regresses.
+    const bool exact = !base.wallClock && base.ciLo == base.ciHi &&
+                       cur->ciLo == cur->ciHi;
+    const double worseBy = base.higherIsBetter ? base.mean - cur->mean
+                                               : cur->mean - base.mean;
+    const bool worse = exact ? worseBy > 0.0 : rel > threshold;
+    const bool better = exact ? worseBy < 0.0 : rel < -threshold;
+    if (worse && ciExcludes) {
       c.verdict = Verdict::kRegressed;
-      c.detail = fmtPercent(rel) + " worse, CI [" + fmtDouble(cur->ciLo) +
-                 ", " + fmtDouble(cur->ciHi) + "] excludes baseline " +
-                 fmtDouble(base.mean);
+      c.detail = exact ? "exact series moved from " + fmtDouble(base.mean) +
+                             " to " + fmtDouble(cur->mean)
+                       : fmtPercent(rel) + " worse, CI [" +
+                             fmtDouble(cur->ciLo) + ", " +
+                             fmtDouble(cur->ciHi) + "] excludes baseline " +
+                             fmtDouble(base.mean);
       ++result.regressions;
-    } else if (rel < -threshold && ciExcludes) {
+    } else if (better && ciExcludes) {
       c.verdict = Verdict::kImproved;
       c.detail = fmtPercent(-rel) + " better";
       ++result.improvements;

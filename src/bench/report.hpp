@@ -14,7 +14,9 @@
 // (inside the CI) never trips the gate, while a real slowdown (CI fully
 // past baseline) always does. Wall-clock series are only gated when
 // both artifacts carry the same machine fingerprint; ratio series
-// (speedups, hit rates, counts) gate everywhere.
+// (speedups, hit rates, counts) gate everywhere. A ratio series whose
+// baseline and current CIs both have zero width (an exact work counter)
+// regresses on any move in its worse direction, threshold or not.
 #pragma once
 
 #include <cstddef>

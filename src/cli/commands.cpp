@@ -259,7 +259,7 @@ int generateImpl(const Args& args) {
     return 0;
   }
   const layout::Layout chip = contest::BenchmarkGenerator::generate(spec);
-  const long long bytes = gds::Writer::writeFile(chip.toGds(), out);
+  const long long bytes = chip.writeGds(out);
   if (bytes < 0) {
     std::fprintf(stderr, "generate: cannot write %s\n", out.c_str());
     return 1;
@@ -419,26 +419,29 @@ int fillImpl(const Args& args) {
     return rc;
   }
 
+  const bool profiling = profilingRequested(args);
+  if (profiling) enableProfiling();
+  // Before the load, so the trace holds its gds.read span.
+  const ObsRequest obsReq = obsRequestFrom(args);
+  enableObservability(obsReq);
   layout::Layout chip({}, 0);
   if (!loadLayout(args, chip, &error)) {
     std::fprintf(stderr, "fill: %s\n", error.c_str());
     return 2;
   }
-  const bool profiling = profilingRequested(args);
-  if (profiling) enableProfiling();
-  const ObsRequest obsReq = obsRequestFrom(args);
-  enableObservability(obsReq);
 
   Timer timer;
   const fill::FillReport report = fill::FillEngine(options).run(chip);
-  const gds::Library outLib = args.hasFlag("compact")
-                                  ? layout::toCompactGds(chip)
-                                  : chip.toGds();
   long long bytes = -1;
-  if (format == "gds") {
-    bytes = gds::Writer::writeFile(outLib, out);
+  if (format == "gds" && !args.hasFlag("compact")) {
+    bytes = chip.writeGds(out);
   } else {
-    bytes = gds::OasisWriter::writeFile(outLib, out);
+    // Hierarchical or OASIS output needs the whole Library.
+    const gds::Library outLib = args.hasFlag("compact")
+                                    ? layout::toCompactGds(chip)
+                                    : chip.toGds();
+    bytes = format == "gds" ? gds::Writer::writeFile(outLib, out)
+                            : gds::OasisWriter::writeFile(outLib, out);
   }
   if (bytes < 0) {
     std::fprintf(stderr, "fill: cannot write %s\n", out.c_str());

@@ -18,7 +18,6 @@
 #include "gds/stream_reader.hpp"
 #include "gds/stream_writer.hpp"
 #include "geometry/decompose.hpp"
-#include "geometry/polygon.hpp"
 #include "layout/fill_region.hpp"
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
@@ -62,18 +61,6 @@ bool scanFile(const std::string& path, gds::StreamEvents& events,
   return gds::StreamReader::scan(path, events, error, o);
 }
 
-// Pre-scan sink with loadFlatLayout's bbox/maxLayer semantics: every
-// structure's boundaries count, unflattened.
-class ExtentScan : public gds::StreamEvents {
- public:
-  void onBoundary(const gds::Boundary& b) override {
-    maxLayer = std::max<int>(maxLayer, b.layer);
-    bbox = bbox.bboxUnion(geom::Polygon(b.vertices).bbox());
-  }
-  geom::Rect bbox;  // default-constructed {0,0,0,0}, like loadFlatLayout
-  int maxLayer = 0;
-};
-
 std::string directoryOf(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) return ".";
@@ -84,7 +71,7 @@ std::string directoryOf(const std::string& path) {
 
 bool ShardedEngine::scanExtents(const std::string& path, geom::Rect* bbox,
                                 int* maxLayer, std::string* error) {
-  ExtentScan scan;
+  gds::ExtentScan scan;
   if (!scanFile(path, scan, error, 256 * 1024)) return false;
   if (bbox != nullptr) *bbox = scan.bbox;
   if (maxLayer != nullptr) *maxLayer = scan.maxLayer;
@@ -155,11 +142,14 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   {
     obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
     prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+    std::vector<geom::Rect> rects;  // one boundary's decomposition, reused
     gds::FlattenStream flatten([&](const gds::Boundary& b) {
       const int l = b.layer - 1;
       if (l < 0 || l >= numLayers) return;
       if (b.datatype == 1) return;  // stale fills; run() clears them anyway
-      for (const geom::Rect& r : geom::decompose(geom::Polygon(b.vertices))) {
+      rects.clear();
+      geom::decomposeInto(b.vertices, rects);
+      for (const geom::Rect& r : rects) {
         store.append(passWire[static_cast<std::size_t>(l)], r);
         ++rep.wireCount;
         // Route by the minSpacing-inflated extent: the halo rows see the

@@ -1,8 +1,5 @@
 #include "gds/gds_reader.hpp"
 
-#include <cstdio>
-#include <vector>
-
 #include "gds/gds_records.hpp"
 #include "gds/stream_reader.hpp"
 
@@ -12,8 +9,6 @@ namespace {
 struct Cursor {
   std::span<const std::uint8_t> bytes;
   std::size_t pos = 0;
-
-  bool done() const { return pos >= bytes.size(); }
 
   // Reads the next record header; returns false at end or on corruption.
   bool next(RecordTag& tag, std::span<const std::uint8_t>& payload) {
@@ -27,144 +22,25 @@ struct Cursor {
   }
 };
 
-std::string asciiFrom(std::span<const std::uint8_t> payload) {
-  std::string s(payload.begin(), payload.end());
-  while (!s.empty() && s.back() == '\0') s.pop_back();
-  return s;
-}
-
-std::uint64_t u64From(std::span<const std::uint8_t> p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
 }  // namespace
 
 std::optional<Library> Reader::parse(std::span<const std::uint8_t> bytes) {
   Cursor cur{bytes};
-  Library lib;
-  Cell* cell = nullptr;
-  Boundary* boundary = nullptr;
-  Sref* sref = nullptr;
-  Aref* aref = nullptr;
-
+  LibraryCollector collector;
+  RecordMachine machine(collector);
   RecordTag tag;
   std::span<const std::uint8_t> payload;
-  bool sawHeader = false;
   while (cur.next(tag, payload)) {
-    switch (tag) {
-      case RecordTag::kHeader:
-        sawHeader = true;
-        break;
-      case RecordTag::kBgnLib:
-        break;
-      case RecordTag::kLibName:
-        lib.name = asciiFrom(payload);
-        break;
-      case RecordTag::kUnits:
-        if (payload.size() != 16) return std::nullopt;
-        lib.userUnitsPerDbu = decodeReal8(u64From(payload.subspan(0, 8)));
-        lib.metersPerDbu = decodeReal8(u64From(payload.subspan(8, 8)));
-        break;
-      case RecordTag::kBgnStr:
-        lib.cells.emplace_back();
-        cell = &lib.cells.back();
-        break;
-      case RecordTag::kStrName:
-        if (cell == nullptr) return std::nullopt;
-        cell->name = asciiFrom(payload);
-        break;
-      case RecordTag::kBoundary:
-        if (cell == nullptr) return std::nullopt;
-        cell->boundaries.emplace_back();
-        boundary = &cell->boundaries.back();
-        break;
-      case RecordTag::kSref:
-        if (cell == nullptr) return std::nullopt;
-        cell->srefs.emplace_back();
-        sref = &cell->srefs.back();
-        break;
-      case RecordTag::kAref:
-        if (cell == nullptr) return std::nullopt;
-        cell->arefs.emplace_back();
-        aref = &cell->arefs.back();
-        break;
-      case RecordTag::kSname:
-        if (sref != nullptr) {
-          sref->cellName = asciiFrom(payload);
-        } else if (aref != nullptr) {
-          aref->cellName = asciiFrom(payload);
-        } else {
-          return std::nullopt;
-        }
-        break;
-      case RecordTag::kColRow:
-        if (aref == nullptr || payload.size() < 4) return std::nullopt;
-        aref->cols = getU16(payload.data());
-        aref->rows = getU16(payload.data() + 2);
-        break;
-      case RecordTag::kLayer:
-        if (boundary == nullptr || payload.size() < 2) return std::nullopt;
-        boundary->layer = static_cast<std::int16_t>(getU16(payload.data()));
-        break;
-      case RecordTag::kDataType:
-        if (boundary == nullptr || payload.size() < 2) return std::nullopt;
-        boundary->datatype = static_cast<std::int16_t>(getU16(payload.data()));
-        break;
-      case RecordTag::kXy: {
-        if (payload.size() % 8 != 0) return std::nullopt;
-        if (sref != nullptr) {
-          if (payload.size() < 8) return std::nullopt;
-          sref->origin = {getI32(payload.data()), getI32(payload.data() + 4)};
-          break;
-        }
-        if (aref != nullptr) {
-          if (payload.size() < 24) return std::nullopt;
-          const geom::Coord x0 = getI32(payload.data());
-          const geom::Coord y0 = getI32(payload.data() + 4);
-          const geom::Coord xc = getI32(payload.data() + 8);
-          const geom::Coord yr = getI32(payload.data() + 20);
-          aref->origin = {x0, y0};
-          aref->pitchX = aref->cols > 0 ? (xc - x0) / aref->cols : 0;
-          aref->pitchY = aref->rows > 0 ? (yr - y0) / aref->rows : 0;
-          break;
-        }
-        if (boundary == nullptr) return std::nullopt;
-        const std::size_t n = payload.size() / 8;
-        boundary->vertices.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          const geom::Coord x = getI32(payload.data() + 8 * i);
-          const geom::Coord y = getI32(payload.data() + 8 * i + 4);
-          boundary->vertices.push_back({x, y});
-        }
-        // Strip the repeated closing vertex GDS stores on disk.
-        if (boundary->vertices.size() >= 2 &&
-            boundary->vertices.front() == boundary->vertices.back()) {
-          boundary->vertices.pop_back();
-        }
-        break;
-      }
-      case RecordTag::kEndEl:
-        boundary = nullptr;
-        sref = nullptr;
-        aref = nullptr;
-        break;
-      case RecordTag::kEndStr:
-        cell = nullptr;
-        boundary = nullptr;
-        sref = nullptr;
-        aref = nullptr;
-        break;
-      case RecordTag::kEndLib:
-        return sawHeader ? std::optional<Library>(std::move(lib))
-                         : std::nullopt;
-      default:
-        // Unknown records are skipped (forward compatibility).
+    switch (machine.feed(tag, payload)) {
+      case RecordMachine::Status::kError:
+        return std::nullopt;
+      case RecordMachine::Status::kDone:
+        return collector.takeLibrary();
+      case RecordMachine::Status::kContinue:
         break;
     }
   }
-  return std::nullopt;  // missing ENDLIB
+  return std::nullopt;  // truncated, or missing ENDLIB
 }
 
 std::optional<Library> Reader::readFile(const std::string& path) {

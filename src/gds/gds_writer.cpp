@@ -1,6 +1,7 @@
 #include "gds/gds_writer.hpp"
 
 #include <cstdio>
+#include <span>
 
 #include "gds/gds_records.hpp"
 #include "gds/record_builder.hpp"
@@ -26,6 +27,18 @@ std::vector<std::uint8_t> timestampPayload() {
   std::vector<std::uint8_t> p;
   for (int i = 0; i < 12; ++i) putU16(p, 0);
   return p;
+}
+
+std::size_t asciiRecordBytes(const std::string& s) {
+  return 4 + (s.size() + 1) / 2 * 2;
+}
+
+std::size_t prologueBytes(const std::string& libName) {
+  return (4 + 2) + (4 + 24) + asciiRecordBytes(libName) + (4 + 16);
+}
+
+std::size_t cellBeginBytes(const std::string& name) {
+  return (4 + 24) + asciiRecordBytes(name);
 }
 
 void appendFilePrologue(std::vector<std::uint8_t>& out,
@@ -87,41 +100,69 @@ void appendAref(std::vector<std::uint8_t>& out, const Aref& a) {
   append(out, RecordTag::kEndEl);
 }
 
+namespace {
+
+std::uint8_t* put16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v & 0xFF);
+  return p + 2;
+}
+
+std::uint8_t* put32(std::uint8_t* p, geom::Coord v) {
+  const auto u = static_cast<std::uint32_t>(static_cast<std::int32_t>(v));
+  p[0] = static_cast<std::uint8_t>(u >> 24);
+  p[1] = static_cast<std::uint8_t>((u >> 16) & 0xFF);
+  p[2] = static_cast<std::uint8_t>((u >> 8) & 0xFF);
+  p[3] = static_cast<std::uint8_t>(u & 0xFF);
+  return p + 4;
+}
+
+std::uint8_t* putHeader(std::uint8_t* p, std::size_t payloadBytes,
+                        RecordTag tag) {
+  p = put16(p, static_cast<std::uint16_t>(4 + payloadBytes));
+  return put16(p, static_cast<std::uint16_t>(tag));
+}
+
+// BOUNDARY, LAYER, DATATYPE, XY (the loop plus its repeated first vertex,
+// which GDS stores to close it), ENDEL: boundaryBytes(loop.size()) bytes.
+void encodeBoundary(std::uint8_t* p, std::int16_t layer, std::int16_t datatype,
+                    std::span<const geom::Point> loop) {
+  p = putHeader(p, 0, RecordTag::kBoundary);
+  p = putHeader(p, 2, RecordTag::kLayer);
+  p = put16(p, static_cast<std::uint16_t>(layer));
+  p = putHeader(p, 2, RecordTag::kDataType);
+  p = put16(p, static_cast<std::uint16_t>(datatype));
+  const std::size_t points = loop.empty() ? 0 : loop.size() + 1;
+  p = putHeader(p, 8 * points, RecordTag::kXy);
+  for (const geom::Point& pt : loop) {
+    p = put32(p, pt.x);
+    p = put32(p, pt.y);
+  }
+  if (!loop.empty()) {
+    p = put32(p, loop.front().x);
+    p = put32(p, loop.front().y);
+  }
+  putHeader(p, 0, RecordTag::kEndEl);
+}
+
+void appendEncoded(std::vector<std::uint8_t>& out, std::int16_t layer,
+                   std::int16_t datatype, std::span<const geom::Point> loop) {
+  const std::size_t at = out.size();
+  out.resize(at + boundaryBytes(loop.size()));
+  encodeBoundary(out.data() + at, layer, datatype, loop);
+}
+
+}  // namespace
+
 void appendBoundary(std::vector<std::uint8_t>& out, const Boundary& b) {
-  append(out, RecordTag::kBoundary);
-  {
-    std::vector<std::uint8_t> p;
-    putU16(p, static_cast<std::uint16_t>(b.layer));
-    append(out, RecordTag::kLayer, p);
-  }
-  {
-    std::vector<std::uint8_t> p;
-    putU16(p, static_cast<std::uint16_t>(b.datatype));
-    append(out, RecordTag::kDataType, p);
-  }
-  {
-    std::vector<std::uint8_t> p;
-    for (const geom::Point& pt : b.vertices) {
-      putI32(p, static_cast<std::int32_t>(pt.x));
-      putI32(p, static_cast<std::int32_t>(pt.y));
-    }
-    // GDS repeats the first vertex to close the loop.
-    if (!b.vertices.empty()) {
-      putI32(p, static_cast<std::int32_t>(b.vertices.front().x));
-      putI32(p, static_cast<std::int32_t>(b.vertices.front().y));
-    }
-    append(out, RecordTag::kXy, p);
-  }
-  append(out, RecordTag::kEndEl);
+  appendEncoded(out, b.layer, b.datatype, b.vertices);
 }
 
 void appendRect(std::vector<std::uint8_t>& out, std::int16_t layer,
                 const geom::Rect& r, std::int16_t datatype) {
-  Boundary b;
-  b.layer = layer;
-  b.datatype = datatype;
-  b.vertices = {{r.xl, r.yl}, {r.xh, r.yl}, {r.xh, r.yh}, {r.xl, r.yh}};
-  appendBoundary(out, b);
+  const geom::Point loop[4] = {
+      {r.xl, r.yl}, {r.xh, r.yl}, {r.xh, r.yh}, {r.xl, r.yh}};
+  appendEncoded(out, layer, datatype, loop);
 }
 
 void appendCellEnd(std::vector<std::uint8_t>& out) {
@@ -159,39 +200,29 @@ long long Writer::writeFile(const Library& lib, const std::string& path) {
 }
 
 long long Writer::streamSize(const Library& lib) {
-  // Closed-form accounting mirroring serialize(); kept in sync by the
-  // round-trip unit test.
-  long long size = 4 + 2;           // HEADER
-  size += 4 + 24;                   // BGNLIB
-  size += 4 + static_cast<long long>((lib.name.size() + 1) / 2 * 2);
-  size += 4 + 16;                   // UNITS
+  // Closed-form accounting from the per-record sizes serialize() emits.
+  auto size = static_cast<long long>(record::prologueBytes(lib.name));
   for (const Cell& cell : lib.cells) {
-    size += 4 + 24;                 // BGNSTR
-    size += 4 + static_cast<long long>((cell.name.size() + 1) / 2 * 2);
+    size += static_cast<long long>(record::cellBeginBytes(cell.name));
     for (const Boundary& b : cell.boundaries) {
-      size += 4;                    // BOUNDARY
-      size += 4 + 2;                // LAYER
-      size += 4 + 2;                // DATATYPE
-      size += 4 + 8 * static_cast<long long>(b.vertices.size() + 1);  // XY
-      size += 4;                    // ENDEL
+      size += static_cast<long long>(record::boundaryBytes(b.vertices.size()));
     }
     for (const Sref& s : cell.srefs) {
       size += 4;                    // SREF
-      size += 4 + static_cast<long long>((s.cellName.size() + 1) / 2 * 2);
+      size += static_cast<long long>(record::asciiRecordBytes(s.cellName));
       size += 4 + 8;                // XY
       size += 4;                    // ENDEL
     }
     for (const Aref& a : cell.arefs) {
       size += 4;                    // AREF
-      size += 4 + static_cast<long long>((a.cellName.size() + 1) / 2 * 2);
+      size += static_cast<long long>(record::asciiRecordBytes(a.cellName));
       size += 4 + 4;                // COLROW
       size += 4 + 24;               // XY (3 points)
       size += 4;                    // ENDEL
     }
-    size += 4;                      // ENDSTR
+    size += static_cast<long long>(record::kCellEndBytes);
   }
-  size += 4;                        // ENDLIB
-  return size;
+  return size + static_cast<long long>(record::kEpilogueBytes);
 }
 
 void Writer::addRect(Cell& cell, std::int16_t layer, const geom::Rect& r,

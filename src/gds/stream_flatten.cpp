@@ -14,7 +14,7 @@ void FlattenStream::onBeginCell() {
 
 void FlattenStream::onCellName(const std::string& name) {
   if (inTop_) {
-    topName_ = name;
+    top_.name = name;
   } else if (!masters_.empty()) {
     masters_.back().name = name;
   }
@@ -23,6 +23,7 @@ void FlattenStream::onCellName(const std::string& name) {
 void FlattenStream::onBoundary(const Boundary& b) {
   if (inTop_) {
     sink_(b);
+    if (keepTop_) top_.boundaries.push_back(b);
   } else if (!masters_.empty()) {
     masters_.back().boundaries.push_back(b);
   }
@@ -30,7 +31,7 @@ void FlattenStream::onBoundary(const Boundary& b) {
 
 void FlattenStream::onSref(const Sref& s) {
   if (inTop_) {
-    topSrefs_.push_back(s);
+    top_.srefs.push_back(s);
   } else if (!masters_.empty()) {
     masters_.back().srefs.push_back(s);
   }
@@ -38,7 +39,7 @@ void FlattenStream::onSref(const Sref& s) {
 
 void FlattenStream::onAref(const Aref& a) {
   if (inTop_) {
-    topArefs_.push_back(a);
+    top_.arefs.push_back(a);
   } else if (!masters_.empty()) {
     masters_.back().arefs.push_back(a);
   }
@@ -47,16 +48,17 @@ void FlattenStream::onAref(const Aref& a) {
 bool FlattenStream::finish(std::string* error) {
   // Later duplicates overwrite earlier ones, like flatten's indexCells.
   std::map<std::string, const Cell*> byName;
+  if (keepTop_) byName[top_.name] = &top_;
   for (const Cell& c : masters_) byName[c.name] = &c;
   // Mirrors the top-level expandInto call: srefs in order, then arefs,
   // children expanded with one less depth budget.
-  for (const Sref& s : topSrefs_) {
+  for (const Sref& s : top_.srefs) {
     if (!expandNamed(s.cellName, s.origin.x, s.origin.y, maxDepth_ - 1,
                      byName, error)) {
       return false;
     }
   }
-  for (const Aref& a : topArefs_) {
+  for (const Aref& a : top_.arefs) {
     for (int r = 0; r < a.rows; ++r) {
       for (int c = 0; c < a.cols; ++c) {
         if (!expandNamed(a.cellName, a.origin.x + c * a.pitchX,
@@ -76,7 +78,7 @@ bool FlattenStream::expandNamed(const std::string& name, geom::Coord dx,
                                 std::string* error) {
   const auto it = byName.find(name);
   if (it == byName.end()) {
-    if (name == topName_) {
+    if (name == top_.name) {
       // flattenCell would re-expand the already-streamed top geometry.
       if (error != nullptr) {
         *error = "reference to top cell '" + name +

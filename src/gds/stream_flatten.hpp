@@ -8,10 +8,12 @@
 // flattenCell's exact order (boundaries, then srefs, then arefs,
 // depth-first, unresolvable names skipped, same depth cap).
 //
-// One deliberate restriction: a reference that flattenCell would resolve
-// to the top cell itself (self-referential hierarchies) is an error here,
-// because the top cell's geometry has already been streamed away. The
-// batch path (Reader::readFile + flattenCell) still handles those.
+// One deliberate restriction by default: a reference that flattenCell
+// would resolve to the top cell itself (self-referential hierarchies) is
+// an error, because the top cell's geometry has already been streamed
+// away. With `keepTop` the top cell's boundaries are also kept (one copy
+// of the top geometry), so such references expand exactly as flattenCell
+// expands them; service::loadFlatLayout rescans with it after a refusal.
 #pragma once
 
 #include <functional>
@@ -29,8 +31,8 @@ class FlattenStream : public StreamEvents {
   /// order. The reference is only valid during the call.
   using Sink = std::function<void(const Boundary&)>;
 
-  explicit FlattenStream(Sink sink, int maxDepth = 8)
-      : sink_(std::move(sink)), maxDepth_(maxDepth) {}
+  explicit FlattenStream(Sink sink, int maxDepth = 8, bool keepTop = false)
+      : sink_(std::move(sink)), maxDepth_(maxDepth), keepTop_(keepTop) {}
 
   void onBeginCell() override;
   void onCellName(const std::string& name) override;
@@ -40,10 +42,10 @@ class FlattenStream : public StreamEvents {
 
   /// Expands the buffered top-level references. Call once after the scan
   /// succeeds; returns false (with `*error` set when non-null) on a
-  /// reference the streaming path cannot expand.
+  /// reference to the top cell when it was not kept.
   bool finish(std::string* error);
 
-  const std::string& topName() const { return topName_; }
+  const std::string& topName() const { return top_.name; }
 
  private:
   bool expandNamed(const std::string& name, geom::Coord dx, geom::Coord dy,
@@ -55,11 +57,12 @@ class FlattenStream : public StreamEvents {
 
   Sink sink_;
   int maxDepth_;
+  bool keepTop_;
   bool sawTop_ = false;
   bool inTop_ = false;
-  std::string topName_ = "TOP";  // Cell's default name, matching collectors
-  std::vector<Sref> topSrefs_;
-  std::vector<Aref> topArefs_;
+  // Name (Cell's default "TOP" until STRNAME, matching the collectors) and
+  // references of the top cell; its boundaries only with keepTop_.
+  Cell top_;
   std::vector<Cell> masters_;
 };
 

@@ -1,5 +1,9 @@
 #include "gds/stream_reader.hpp"
 
+#include <algorithm>
+
+#include "geometry/polygon.hpp"
+
 namespace ofl::gds {
 
 RecordStream::RecordStream(const std::string& path)
@@ -62,177 +66,159 @@ std::uint64_t u64From(std::span<const std::uint8_t> p) {
   return v;
 }
 
-// Record-level state machine mirroring Reader::parse: elements are
-// accumulated across their LAYER/DATATYPE/XY/SNAME/COLROW records and
-// committed to the sink when the element (or its structure) ends.
-class RecordMachine {
- public:
-  explicit RecordMachine(StreamEvents& events) : events_(events) {}
+}  // namespace
 
-  enum class Status { kContinue, kDone, kError };
-
-  const std::string& error() const { return error_; }
-
-  Status feed(RecordTag tag, std::span<const std::uint8_t> payload) {
-    switch (tag) {
-      case RecordTag::kHeader:
-        sawHeader_ = true;
-        break;
-      case RecordTag::kBgnLib:
-        break;
-      case RecordTag::kLibName:
-        events_.onLibraryName(asciiFrom(payload));
-        break;
-      case RecordTag::kUnits:
-        if (payload.size() != 16) return fail("UNITS payload not 16 bytes");
-        events_.onUnits(decodeReal8(u64From(payload.subspan(0, 8))),
-                        decodeReal8(u64From(payload.subspan(8, 8))));
-        break;
-      case RecordTag::kBgnStr:
-        commitElement();
-        if (inCell_) events_.onEndCell();
-        inCell_ = true;
-        events_.onBeginCell();
-        break;
-      case RecordTag::kStrName:
-        if (!inCell_) return fail("STRNAME outside structure");
-        events_.onCellName(asciiFrom(payload));
-        break;
-      case RecordTag::kBoundary:
-        if (!inCell_) return fail("BOUNDARY outside structure");
-        commitElement();
-        element_ = Element::kBoundary;
-        boundary_ = Boundary{};
-        break;
-      case RecordTag::kSref:
-        if (!inCell_) return fail("SREF outside structure");
-        commitElement();
-        element_ = Element::kSref;
-        sref_ = Sref{};
-        break;
-      case RecordTag::kAref:
-        if (!inCell_) return fail("AREF outside structure");
-        commitElement();
-        element_ = Element::kAref;
-        aref_ = Aref{};
-        break;
-      case RecordTag::kSname:
-        if (element_ == Element::kSref) {
-          sref_.cellName = asciiFrom(payload);
-        } else if (element_ == Element::kAref) {
-          aref_.cellName = asciiFrom(payload);
-        } else {
-          return fail("SNAME outside reference");
-        }
-        break;
-      case RecordTag::kColRow:
-        if (element_ != Element::kAref || payload.size() < 4) {
-          return fail("malformed COLROW");
-        }
-        aref_.cols = getU16(payload.data());
-        aref_.rows = getU16(payload.data() + 2);
-        break;
-      case RecordTag::kLayer:
-        if (element_ != Element::kBoundary || payload.size() < 2) {
-          return fail("malformed LAYER");
-        }
-        boundary_.layer = static_cast<std::int16_t>(getU16(payload.data()));
-        break;
-      case RecordTag::kDataType:
-        if (element_ != Element::kBoundary || payload.size() < 2) {
-          return fail("malformed DATATYPE");
-        }
-        boundary_.datatype = static_cast<std::int16_t>(getU16(payload.data()));
-        break;
-      case RecordTag::kXy: {
-        if (payload.size() % 8 != 0) return fail("XY payload not 8-aligned");
-        if (element_ == Element::kSref) {
-          if (payload.size() < 8) return fail("short SREF XY");
-          sref_.origin = {getI32(payload.data()), getI32(payload.data() + 4)};
-          break;
-        }
-        if (element_ == Element::kAref) {
-          if (payload.size() < 24) return fail("short AREF XY");
-          const geom::Coord x0 = getI32(payload.data());
-          const geom::Coord y0 = getI32(payload.data() + 4);
-          const geom::Coord xc = getI32(payload.data() + 8);
-          const geom::Coord yr = getI32(payload.data() + 20);
-          aref_.origin = {x0, y0};
-          aref_.pitchX = aref_.cols > 0 ? (xc - x0) / aref_.cols : 0;
-          aref_.pitchY = aref_.rows > 0 ? (yr - y0) / aref_.rows : 0;
-          break;
-        }
-        if (element_ != Element::kBoundary) return fail("XY outside element");
-        const std::size_t n = payload.size() / 8;
-        boundary_.vertices.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-          boundary_.vertices.push_back({getI32(payload.data() + 8 * i),
-                                        getI32(payload.data() + 8 * i + 4)});
-        }
-        // Strip the repeated closing vertex GDS stores on disk.
-        if (boundary_.vertices.size() >= 2 &&
-            boundary_.vertices.front() == boundary_.vertices.back()) {
-          boundary_.vertices.pop_back();
-        }
+RecordMachine::Status RecordMachine::feed(
+    RecordTag tag, std::span<const std::uint8_t> payload) {
+  switch (tag) {
+    case RecordTag::kHeader:
+      sawHeader_ = true;
+      break;
+    case RecordTag::kBgnLib:
+      break;
+    case RecordTag::kLibName:
+      events_.onLibraryName(asciiFrom(payload));
+      break;
+    case RecordTag::kUnits:
+      if (payload.size() != 16) return fail("UNITS payload not 16 bytes");
+      events_.onUnits(decodeReal8(u64From(payload.subspan(0, 8))),
+                      decodeReal8(u64From(payload.subspan(8, 8))));
+      break;
+    case RecordTag::kBgnStr:
+      commitElement();
+      if (inCell_) events_.onEndCell();
+      inCell_ = true;
+      events_.onBeginCell();
+      break;
+    case RecordTag::kStrName:
+      if (!inCell_) return fail("STRNAME outside structure");
+      events_.onCellName(asciiFrom(payload));
+      break;
+    case RecordTag::kBoundary:
+      if (!inCell_) return fail("BOUNDARY outside structure");
+      commitElement();
+      element_ = Element::kBoundary;
+      boundary_ = Boundary{};
+      break;
+    case RecordTag::kSref:
+      if (!inCell_) return fail("SREF outside structure");
+      commitElement();
+      element_ = Element::kSref;
+      sref_ = Sref{};
+      break;
+    case RecordTag::kAref:
+      if (!inCell_) return fail("AREF outside structure");
+      commitElement();
+      element_ = Element::kAref;
+      aref_ = Aref{};
+      break;
+    case RecordTag::kSname:
+      if (element_ == Element::kSref) {
+        sref_.cellName = asciiFrom(payload);
+      } else if (element_ == Element::kAref) {
+        aref_.cellName = asciiFrom(payload);
+      } else {
+        return fail("SNAME outside reference");
+      }
+      break;
+    case RecordTag::kColRow:
+      if (element_ != Element::kAref || payload.size() < 4) {
+        return fail("malformed COLROW");
+      }
+      aref_.cols = getU16(payload.data());
+      aref_.rows = getU16(payload.data() + 2);
+      break;
+    case RecordTag::kLayer:
+      if (element_ != Element::kBoundary || payload.size() < 2) {
+        return fail("malformed LAYER");
+      }
+      boundary_.layer = static_cast<std::int16_t>(getU16(payload.data()));
+      break;
+    case RecordTag::kDataType:
+      if (element_ != Element::kBoundary || payload.size() < 2) {
+        return fail("malformed DATATYPE");
+      }
+      boundary_.datatype = static_cast<std::int16_t>(getU16(payload.data()));
+      break;
+    case RecordTag::kXy: {
+      if (payload.size() % 8 != 0) return fail("XY payload not 8-aligned");
+      if (element_ == Element::kSref) {
+        if (payload.size() < 8) return fail("short SREF XY");
+        sref_.origin = {getI32(payload.data()), getI32(payload.data() + 4)};
         break;
       }
-      case RecordTag::kEndEl:
-        commitElement();
+      if (element_ == Element::kAref) {
+        if (payload.size() < 24) return fail("short AREF XY");
+        const geom::Coord x0 = getI32(payload.data());
+        const geom::Coord y0 = getI32(payload.data() + 4);
+        const geom::Coord xc = getI32(payload.data() + 8);
+        const geom::Coord yr = getI32(payload.data() + 20);
+        aref_.origin = {x0, y0};
+        aref_.pitchX = aref_.cols > 0 ? (xc - x0) / aref_.cols : 0;
+        aref_.pitchY = aref_.rows > 0 ? (yr - y0) / aref_.rows : 0;
         break;
-      case RecordTag::kEndStr:
-        commitElement();
-        if (inCell_) events_.onEndCell();
-        inCell_ = false;
-        break;
-      case RecordTag::kEndLib:
-        commitElement();
-        if (inCell_) events_.onEndCell();
-        inCell_ = false;
-        if (!sawHeader_) return fail("ENDLIB without HEADER");
-        return Status::kDone;
-      default:
-        // Unknown records are skipped (forward compatibility).
-        break;
+      }
+      if (element_ != Element::kBoundary) return fail("XY outside element");
+      const std::size_t n = payload.size() / 8;
+      boundary_.vertices.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        boundary_.vertices.push_back({getI32(payload.data() + 8 * i),
+                                      getI32(payload.data() + 8 * i + 4)});
+      }
+      // Strip the repeated closing vertex GDS stores on disk.
+      if (boundary_.vertices.size() >= 2 &&
+          boundary_.vertices.front() == boundary_.vertices.back()) {
+        boundary_.vertices.pop_back();
+      }
+      break;
     }
-    return Status::kContinue;
+    case RecordTag::kEndEl:
+      commitElement();
+      break;
+    case RecordTag::kEndStr:
+      commitElement();
+      if (inCell_) events_.onEndCell();
+      inCell_ = false;
+      break;
+    case RecordTag::kEndLib:
+      commitElement();
+      if (inCell_) events_.onEndCell();
+      inCell_ = false;
+      if (!sawHeader_) return fail("ENDLIB without HEADER");
+      return Status::kDone;
+    default:
+      // Unknown records are skipped (forward compatibility).
+      break;
   }
+  return Status::kContinue;
+}
 
- private:
-  enum class Element { kNone, kBoundary, kSref, kAref };
+RecordMachine::Status RecordMachine::fail(const char* message) {
+  error_ = message;
+  return Status::kError;
+}
 
-  Status fail(const char* message) {
-    error_ = message;
-    return Status::kError;
+void RecordMachine::commitElement() {
+  switch (element_) {
+    case Element::kBoundary:
+      events_.onBoundary(boundary_);
+      break;
+    case Element::kSref:
+      events_.onSref(sref_);
+      break;
+    case Element::kAref:
+      events_.onAref(aref_);
+      break;
+    case Element::kNone:
+      break;
   }
+  element_ = Element::kNone;
+}
 
-  void commitElement() {
-    switch (element_) {
-      case Element::kBoundary:
-        events_.onBoundary(boundary_);
-        break;
-      case Element::kSref:
-        events_.onSref(sref_);
-        break;
-      case Element::kAref:
-        events_.onAref(aref_);
-        break;
-      case Element::kNone:
-        break;
-    }
-    element_ = Element::kNone;
-  }
-
-  StreamEvents& events_;
-  bool sawHeader_ = false;
-  bool inCell_ = false;
-  Element element_ = Element::kNone;
-  Boundary boundary_;
-  Sref sref_;
-  Aref aref_;
-  std::string error_;
-};
-
-}  // namespace
+void ExtentScan::onBoundary(const Boundary& b) {
+  maxLayer = std::max<int>(maxLayer, b.layer);
+  bbox = bbox.bboxUnion(geom::bboxOf(b.vertices));
+}
 
 bool StreamReader::scan(const std::string& path, StreamEvents& events,
                         std::string* error, const Options& options) {

@@ -2,16 +2,16 @@
 //
 // Parses records from a bounded sliding buffer (gds/byte_source.hpp) and
 // reports shapes through an event sink, so arbitrarily large inputs are
-// read with O(record) memory instead of O(file). Two consumers share the
-// machinery:
+// read with O(record) memory instead of O(file). Consumers of the events:
 //   - Reader::readFile builds a full Library through LibraryCollector
 //     (the non-streamed path no longer slurps the file);
+//   - service::loadFlatLayout builds a Layout's rect vectors directly;
 //   - fill::ShardedEngine routes boundaries straight into per-window-row
 //     spools without materializing a Layout at all.
 //
-// The record state machine mirrors Reader::parse (same skipped unknown
-// records, same closing-vertex strip, same malformed-input rejections);
-// the StreamReader-vs-Reader property test pins the equivalence.
+// RecordMachine is the one GDS record state machine: StreamReader feeds it
+// from the file, Reader::parse from an in-memory byte span, so both accept,
+// skip and reject exactly the same record sequences.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,39 @@ class StreamEvents {
   virtual void onEndCell() {}
 };
 
+/// Record-level GDSII state machine: elements are accumulated across their
+/// LAYER/DATATYPE/XY/SNAME/COLROW records and committed to the sink when
+/// the element (or its structure) ends. Unknown records are skipped; the
+/// repeated closing vertex of an XY loop is stripped. An element record
+/// (BOUNDARY/SREF/AREF) or BGNSTR commits the element still open, so the
+/// properties that follow apply only to the new one.
+class RecordMachine {
+ public:
+  enum class Status { kContinue, kDone, kError };
+
+  explicit RecordMachine(StreamEvents& events) : events_(events) {}
+
+  /// kDone after ENDLIB; kError (error() explains) on malformed input.
+  Status feed(RecordTag tag, std::span<const std::uint8_t> payload);
+
+  const std::string& error() const { return error_; }
+
+ private:
+  enum class Element { kNone, kBoundary, kSref, kAref };
+
+  Status fail(const char* message);
+  void commitElement();
+
+  StreamEvents& events_;
+  bool sawHeader_ = false;
+  bool inCell_ = false;
+  Element element_ = Element::kNone;
+  Boundary boundary_;  // reused: its vertex buffer keeps its capacity
+  Sref sref_;
+  Aref aref_;
+  std::string error_;
+};
+
 class StreamReader {
  public:
   using Options = RecordStream::Options;
@@ -82,6 +115,17 @@ class StreamReader {
   /// same inputs Reader::parse rejects.
   static bool scan(const std::string& path, StreamEvents& events,
                    std::string* error, const Options& options = {});
+};
+
+/// StreamEvents sink for the die and layer-count rule of a loaded layout:
+/// the bounding box and the highest GDS layer over every boundary of every
+/// structure, unflattened (service::loadFlatLayout and the sharded
+/// engine's pre-scan both use it).
+class ExtentScan : public StreamEvents {
+ public:
+  void onBoundary(const Boundary& b) override;
+  geom::Rect bbox;  // {0,0,0,0} until a boundary; bboxUnion treats it as empty
+  int maxLayer = 0;
 };
 
 /// StreamEvents sink that assembles a full Library (Reader::readFile's

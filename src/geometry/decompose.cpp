@@ -12,21 +12,16 @@ struct VEdge {
   Coord yhi;
 };
 
-// Collects the vertical edges of each loop.
-std::vector<VEdge> verticalEdges(const std::vector<Polygon>& loops) {
-  std::vector<VEdge> edges;
-  for (const Polygon& poly : loops) {
-    const auto& v = poly.vertices();
-    const std::size_t n = v.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Point& a = v[i];
-      const Point& b = v[(i + 1) % n];
-      if (a.x == b.x && a.y != b.y) {
-        edges.push_back({a.x, std::min(a.y, b.y), std::max(a.y, b.y)});
-      }
+// Appends the vertical edges of one closed loop.
+void appendVerticalEdges(std::span<const Point> v, std::vector<VEdge>& edges) {
+  const std::size_t n = v.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point& a = v[i];
+    const Point& b = v[(i + 1) % n];
+    if (a.x == b.x && a.y != b.y) {
+      edges.push_back({a.x, std::min(a.y, b.y), std::max(a.y, b.y)});
     }
   }
-  return edges;
 }
 
 // Slab decomposition under even-odd parity across the given vertical edges.
@@ -66,11 +61,38 @@ std::vector<Rect> slabDecompose(const std::vector<VEdge>& edges) {
 }  // namespace
 
 std::vector<Rect> decompose(const Polygon& polygon) {
-  return decomposeEvenOdd({polygon});
+  std::vector<Rect> out;
+  decomposeInto(polygon.vertices(), out);
+  return out;
+}
+
+void decomposeInto(std::span<const Point> loop, std::vector<Rect>& out) {
+  if (loop.size() == 4) {
+    // Edges alternate horizontal/vertical from either starting direction;
+    // a and c are then opposite corners. The slab sweep would find the
+    // same single rect (two vertical edges, one slab, one run).
+    const Point& a = loop[0];
+    const Point& b = loop[1];
+    const Point& c = loop[2];
+    const Point& d = loop[3];
+    const bool hFirst = a.y == b.y && b.x == c.x && c.y == d.y && d.x == a.x;
+    const bool vFirst = a.x == b.x && b.y == c.y && c.x == d.x && d.y == a.y;
+    if ((hFirst || vFirst) && a.x != c.x && a.y != c.y) {
+      out.push_back({std::min(a.x, c.x), std::min(a.y, c.y),
+                     std::max(a.x, c.x), std::max(a.y, c.y)});
+      return;
+    }
+  }
+  std::vector<VEdge> edges;
+  appendVerticalEdges(loop, edges);
+  const std::vector<Rect> rects = slabDecompose(edges);
+  out.insert(out.end(), rects.begin(), rects.end());
 }
 
 std::vector<Rect> decomposeEvenOdd(const std::vector<Polygon>& loops) {
-  return slabDecompose(verticalEdges(loops));
+  std::vector<VEdge> edges;
+  for (const Polygon& poly : loops) appendVerticalEdges(poly.vertices(), edges);
+  return slabDecompose(edges);
 }
 
 std::vector<Rect> mergeHorizontal(std::vector<Rect> rects) {

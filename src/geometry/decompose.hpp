@@ -2,6 +2,7 @@
 // Gourley & Green) plus rectangle-set compaction helpers.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geometry/polygon.hpp"
@@ -13,6 +14,12 @@ namespace ofl::geom {
 /// horizontal slab sweeping with even-odd parity. Output rects are disjoint
 /// and their areas sum to polygon.area().
 std::vector<Rect> decompose(const Polygon& polygon);
+
+/// Appends decompose(Polygon(loop)) to `out` without copying the loop. An
+/// axis-parallel 4-vertex rectangle of non-zero area is appended as its
+/// bounding box directly; any other loop goes through the slab sweep. The
+/// GDS/OASIS loaders call this once per boundary.
+void decomposeInto(std::span<const Point> loop, std::vector<Rect>& out);
 
 /// Decomposes a set of loops under even-odd fill rule: a point is inside
 /// when covered by an odd number of loops. This is how GDSII/OASIS express

@@ -6,6 +6,7 @@
 // reports the absolute value.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geometry/rect.hpp"
@@ -38,5 +39,8 @@ class Polygon {
  private:
   std::vector<Point> vertices_;
 };
+
+/// Polygon(vertices).bbox() without copying the vertices.
+Rect bboxOf(std::span<const Point> vertices);
 
 }  // namespace ofl::geom

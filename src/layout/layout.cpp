@@ -1,7 +1,10 @@
 #include "layout/layout.hpp"
 
 #include "gds/flatten.hpp"
+#include "gds/record_builder.hpp"
+#include "gds/stream_writer.hpp"
 #include "geometry/decompose.hpp"
+#include "obs/trace.hpp"
 
 namespace ofl::layout {
 
@@ -45,6 +48,34 @@ gds::Library Layout::toGds(const std::string& topName) const {
   return lib;
 }
 
+long long Layout::writeGds(const std::string& path,
+                          const std::string& topName) const {
+  obs::ScopedSpan span("gds.write", "io");
+  gds::StreamWriter writer(path);
+  if (!writer.ok()) return -1;
+  writer.beginCell(topName);
+  for (int l = 0; l < numLayers(); ++l) {
+    const auto gdsLayer = static_cast<std::int16_t>(l + 1);
+    for (const geom::Rect& r : layer(l).wires) {
+      writer.addRect(gdsLayer, r, /*datatype=*/0);
+    }
+    for (const geom::Rect& r : layer(l).fills) {
+      writer.addRect(gdsLayer, r, /*datatype=*/1);
+    }
+  }
+  writer.endCell();
+  return writer.finish();
+}
+
+long long Layout::gdsStreamSize(const std::string& topName) const {
+  const std::size_t bytes =
+      gds::record::prologueBytes(gds::StreamWriter::Options{}.libName) +
+      gds::record::cellBeginBytes(topName) +
+      gds::record::kRectBytes * (wireCount() + fillCount()) +
+      gds::record::kCellEndBytes + gds::record::kEpilogueBytes;
+  return static_cast<long long>(bytes);
+}
+
 Layout Layout::fromGds(const gds::Library& lib, const geom::Rect& die,
                        int numLayers) {
   Layout layout(die, numLayers);
@@ -52,20 +83,13 @@ Layout Layout::fromGds(const gds::Library& lib, const geom::Rect& die,
   // Referenced cells' shapes are placed where their instances put them, so
   // only the TOP-level expansion is loaded: expanding every cell would
   // duplicate the fill-cell masters at the origin.
-  gds::Library flat;
-  if (!lib.cells.empty()) {
-    flat.cells.push_back(gds::flattenCell(lib));
-  }
-  for (const gds::Cell& cell : flat.cells) {
-    for (const gds::Boundary& b : cell.boundaries) {
-      const int l = b.layer - 1;
-      if (l < 0 || l >= numLayers) continue;
-      const std::vector<geom::Rect> rects =
-          geom::decompose(geom::Polygon(b.vertices));
-      auto& bucket = (b.datatype == 1) ? layout.layer(l).fills
-                                       : layout.layer(l).wires;
-      bucket.insert(bucket.end(), rects.begin(), rects.end());
-    }
+  if (lib.cells.empty()) return layout;
+  const gds::Cell flat = gds::flattenCell(lib);
+  for (const gds::Boundary& b : flat.boundaries) {
+    const int l = b.layer - 1;
+    if (l < 0 || l >= numLayers) continue;
+    geom::decomposeInto(b.vertices, b.datatype == 1 ? layout.layer(l).fills
+                                                    : layout.layer(l).wires);
   }
   return layout;
 }

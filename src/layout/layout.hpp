@@ -44,8 +44,20 @@ class Layout {
   /// layer l+1 (GDS layer numbers are conventionally 1-based).
   gds::Library toGds(const std::string& topName = "TOP") const;
 
+  /// Writes the bytes of gds::Writer::serialize(toGds(topName)) to `path`
+  /// through gds::StreamWriter, one 64-byte record group per rect, without
+  /// building the Library. Returns the byte count, or -1 on IO failure.
+  long long writeGds(const std::string& path,
+                     const std::string& topName = "TOP") const;
+
+  /// gds::Writer::streamSize(toGds(topName)) in closed form from the rect
+  /// counts.
+  long long gdsStreamSize(const std::string& topName = "TOP") const;
+
   /// Builds a layout from a GDS library produced by toGds(). `numLayers`
   /// caps the layer count; boundaries are decomposed into rectangles.
+  /// service::loadFlatLayout builds the same layout from a file without a
+  /// Library.
   static Layout fromGds(const gds::Library& lib, const geom::Rect& die,
                         int numLayers);
 

@@ -269,11 +269,16 @@ JobResult FillService::runJob(Job& job) const {
   r.fillCount = chip.fillCount();
 
   if (!spec.outputPath.empty()) {
-    const gds::Library lib =
-        spec.compact ? layout::toCompactGds(chip) : chip.toGds();
-    r.outputBytes = spec.format == OutputFormat::kOasis
-                        ? gds::OasisWriter::writeFile(lib, spec.outputPath)
-                        : gds::Writer::writeFile(lib, spec.outputPath);
+    if (!spec.compact && spec.format == OutputFormat::kGds) {
+      r.outputBytes = chip.writeGds(spec.outputPath);
+    } else {
+      // Hierarchical or OASIS output needs the whole Library.
+      const gds::Library lib =
+          spec.compact ? layout::toCompactGds(chip) : chip.toGds();
+      r.outputBytes = spec.format == OutputFormat::kOasis
+                          ? gds::OasisWriter::writeFile(lib, spec.outputPath)
+                          : gds::Writer::writeFile(lib, spec.outputPath);
+    }
     if (r.outputBytes < 0) {
       r.status = JobStatus::kFailed;
       r.error = "cannot write " + spec.outputPath;

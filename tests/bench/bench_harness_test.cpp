@@ -236,6 +236,94 @@ TEST_F(BenchCompareTest, MissingSeriesCountsAsRegression) {
   EXPECT_TRUE(r.hasRegression());
 }
 
+// Writes an artifact with one exact ratio-scale counter: three identical
+// samples, so its CI has zero width.
+std::string writeCounterArtifact(const fs::path& dir, const std::string& file,
+                                 const std::string& name, Direction direction,
+                                 double value) {
+  Harness::Options o;
+  o.name = "cmp";
+  o.reps = 3;
+  o.warmup = 0;
+  Harness h(o);
+  Series& s = h.series(name, "count", direction, Scale::kRatio);
+  h.runInterleaved({[&] { s.record(value); }});
+  const fs::path p = dir / file;
+  std::ofstream out(p);
+  out << h.json();
+  return p.string();
+}
+
+TEST_F(BenchCompareTest, ExactCounterRegressesOnAnyWorseMove) {
+  const auto gate = [](const std::string& base, const std::string& cur) {
+    return cli::run(cli::Args::parse({"bench-compare", base, cur,
+                                      "--fail-on-regression", "--threshold",
+                                      "0.10"}));
+  };
+  const auto lower = Direction::kLowerIsBetter;
+  const std::string base =
+      writeCounterArtifact(dir_, "b.json", "index-queries", lower, 1000);
+  EXPECT_EQ(gate(base, writeCounterArtifact(dir_, "same.json",
+                                            "index-queries", lower, 1000)),
+            0);
+  // +5% is inside the 10% threshold, but an exact counter has no noise.
+  EXPECT_NE(gate(base, writeCounterArtifact(dir_, "up.json", "index-queries",
+                                            lower, 1050)),
+            0);
+  EXPECT_EQ(gate(base, writeCounterArtifact(dir_, "down.json",
+                                            "index-queries", lower, 950)),
+            0);
+
+  // Higher-is-better counters regress on any drop.
+  const auto higher = Direction::kHigherIsBetter;
+  const std::string warm =
+      writeCounterArtifact(dir_, "w.json", "mcf-warm-starts", higher, 1408);
+  EXPECT_NE(gate(warm, writeCounterArtifact(dir_, "w2.json", "mcf-warm-starts",
+                                            higher, 1407)),
+            0);
+
+  // A zero baseline still gates.
+  const std::string zero =
+      writeCounterArtifact(dir_, "z.json", "fallbacks", lower, 0);
+  EXPECT_NE(gate(zero, writeCounterArtifact(dir_, "z2.json", "fallbacks",
+                                            lower, 2)),
+            0);
+
+  // The verdict names the move.
+  BenchDoc b, c;
+  std::string error;
+  ASSERT_TRUE(BenchDoc::load(base, b, error)) << error;
+  ASSERT_TRUE(BenchDoc::load((dir_ / "up.json").string(), c, error)) << error;
+  const CompareResult r = compare(b, c, 0.10);
+  ASSERT_EQ(r.series.size(), 1u);
+  EXPECT_EQ(r.series[0].verdict, Verdict::kRegressed);
+}
+
+TEST_F(BenchCompareTest, NoisyRatioSeriesKeepsTheThreshold) {
+  // A ratio series with a real CI still moves freely inside --threshold.
+  const auto write = [&](const std::string& file, double center) {
+    Harness::Options o;
+    o.name = "cmp";
+    o.reps = 3;
+    o.warmup = 0;
+    Harness h(o);
+    Series& s = h.series("speedup", "x", Direction::kHigherIsBetter,
+                         Scale::kRatio);
+    h.runInterleaved({[&] { s.record(center); }});
+    s.record(center * 1.001);
+    const fs::path p = dir_ / file;
+    std::ofstream out(p);
+    out << h.json();
+    return p.string();
+  };
+  const std::string base = write("b.json", 2.0);
+  const std::string cur = write("c.json", 1.9);  // 5% worse
+  EXPECT_EQ(cli::run(cli::Args::parse({"bench-compare", base, cur,
+                                       "--fail-on-regression", "--threshold",
+                                       "0.10"})),
+            0);
+}
+
 // CI's perf-smoke job gates every bench named in its
 // `for b in ...; do bench-compare bench/baselines/BENCH_$b.json ...` loop.
 // A baseline missing from the repo makes that gate exit 2 on every run,

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -411,6 +412,53 @@ TEST(CommandsTest, FillWritesTraceAndMetricsArtifacts) {
   std::remove(trace.c_str());
   std::remove(metrics.c_str());
   std::remove(prom.c_str());
+}
+
+TEST(CommandsTest, FillTraceHasGdsReadAndWriteSpans) {
+  // The GDS load and the output write of an in-memory fill are in the
+  // trace, once each, before and after the engine run.
+  const std::string wires = "/tmp/ofl_cli_io_wires.gds";
+  const std::string filled = "/tmp/ofl_cli_io_filled.gds";
+  const std::string trace = "/tmp/ofl_cli_io_trace.json";
+  ASSERT_EQ(runGenerate(Args::parse({"generate", "--suite", "tiny", "--out",
+                                     wires})),
+            0);
+  ASSERT_EQ(runFill(Args::parse({"fill", "--in", wires, "--out", filled,
+                                 "--trace", trace})),
+            0);
+  std::ifstream traceIn(trace);
+  ASSERT_TRUE(traceIn.good());
+  std::stringstream traceText;
+  traceText << traceIn.rdbuf();
+  const auto traceDoc = json::Value::parse(traceText.str());
+  ASSERT_TRUE(traceDoc.has_value());
+  const json::Value* events = traceDoc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  struct Span {
+    int count = 0;
+    double start = 0.0;
+    double end = 0.0;
+  };
+  std::map<std::string, Span> spans;
+  for (const auto& e : events->array) {
+    const json::Value* name = e.find("name");
+    const json::Value* ts = e.find("ts");
+    const json::Value* dur = e.find("dur");
+    if (name == nullptr || ts == nullptr || dur == nullptr) continue;
+    Span& s = spans[name->str];
+    ++s.count;
+    s.start = ts->number;
+    s.end = ts->number + dur->number;
+  }
+  ASSERT_EQ(spans["gds.read"].count, 1);
+  ASSERT_EQ(spans["gds.write"].count, 1);
+  ASSERT_EQ(spans["engine.run"].count, 1);
+  const double slack = 1e-3;  // microsecond rounding of ts and dur
+  EXPECT_LE(spans["gds.read"].end, spans["engine.run"].start + slack);
+  EXPECT_GE(spans["gds.write"].start, spans["engine.run"].end - slack);
+  std::remove(wires.c_str());
+  std::remove(filled.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(CommandsTest, FillOutputIdenticalWithAndWithoutTracing) {

@@ -3,7 +3,9 @@
 #include "contest/benchmark_generator.hpp"
 #include "contest/evaluator.hpp"
 #include "contest/score_table.hpp"
+#include "common/rng.hpp"
 #include "density/bounds.hpp"
+#include "gds/gds_writer.hpp"
 #include "layout/fill_region.hpp"
 #include "layout/drc_checker.hpp"
 #include "layout/window_grid.hpp"
@@ -121,6 +123,31 @@ TEST(EvaluatorTest, EmptyLayoutScoresPerfectDensity) {
   EXPECT_DOUBLE_EQ(raw.outlier, 0.0);
   EXPECT_DOUBLE_EQ(raw.overlay, 0.0);
   EXPECT_EQ(raw.fillCount, 0u);
+}
+
+TEST(EvaluatorTest, FileSizeEqualsStreamSizeOfToGds) {
+  // measure() sizes the flat GDS in closed form from the rect counts; it
+  // must equal what serializing toGds() would write.
+  const Evaluator eval(500, scoreTableFor("s"), layout::DesignRules{});
+  Rng rng(21);
+  for (int trial = 0; trial < 10; ++trial) {
+    const int layers = static_cast<int>(rng.uniformInt(0, 4));
+    layout::Layout chip({0, 0, 1000, 1000}, layers);
+    for (int l = 0; l < layers; ++l) {
+      const auto wires = rng.uniformInt(0, 30);
+      const auto fills = rng.uniformInt(0, 30);
+      for (std::int64_t k = 0; k < wires + fills; ++k) {
+        const auto x = static_cast<geom::Coord>(rng.uniformInt(-50, 950));
+        const auto y = static_cast<geom::Coord>(rng.uniformInt(-50, 950));
+        auto& bucket = k < wires ? chip.layer(l).wires : chip.layer(l).fills;
+        bucket.push_back({x, y, x + 40, y + 30});
+      }
+    }
+    const long long expected = gds::Writer::streamSize(chip.toGds());
+    EXPECT_EQ(chip.gdsStreamSize(), expected);
+    EXPECT_EQ(eval.measure(chip).fileSizeMB,
+              static_cast<double>(expected) / 1e6);
+  }
 }
 
 TEST(EvaluatorTest, OverlayCountsOnlyFillInduced) {

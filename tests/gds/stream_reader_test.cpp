@@ -14,6 +14,7 @@
 #include "gds/gds_reader.hpp"
 #include "gds/gds_writer.hpp"
 #include "gds/stream_reader.hpp"
+#include "gds/record_builder.hpp"
 #include "gds/stream_writer.hpp"
 #include "verify/layout_gen.hpp"
 
@@ -136,6 +137,79 @@ TEST(StreamReaderPropertyTest, MatchesReaderOnRandomLibraries) {
         << "seed " << seed;
     std::remove(path.c_str());
   }
+}
+
+// A file whose element records interleave without ENDEL: HEADER, BGNLIB,
+// BGNSTR "TOP", then `body`, then ENDSTR, ENDLIB.
+std::vector<std::uint8_t> interleavedFile(
+    const std::vector<std::pair<RecordTag, std::vector<std::uint8_t>>>& body) {
+  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> version;
+  putU16(version, 600);
+  record::append(out, RecordTag::kHeader, version);
+  record::append(out, RecordTag::kBgnLib, record::timestampPayload());
+  record::appendCellBegin(out, "TOP");
+  for (const auto& [tag, payload] : body) record::append(out, tag, payload);
+  record::appendCellEnd(out);
+  record::appendFileEpilogue(out);
+  return out;
+}
+
+std::vector<std::uint8_t> u16Payload(std::uint16_t v) {
+  std::vector<std::uint8_t> p;
+  putU16(p, v);
+  return p;
+}
+
+std::vector<std::uint8_t> rectXy() {
+  std::vector<std::uint8_t> p;
+  for (const geom::Coord v : {5, 6, 15, 6, 15, 16, 5, 16, 5, 6}) {
+    putI32(p, static_cast<std::int32_t>(v));
+  }
+  return p;
+}
+
+// Reader::parse and StreamReader feed the same RecordMachine, in which an
+// element record closes the element still open: properties that follow
+// apply to the new element only, in both readers.
+TEST(ReaderParseTest, InterleavedElementsFollowTheRecordMachine) {
+  using P = std::vector<std::uint8_t>;
+  const auto rejected = interleavedFile({{RecordTag::kBoundary, P{}},
+                                         {RecordTag::kSref, P{}},
+                                         {RecordTag::kLayer, u16Payload(1)},
+                                         {RecordTag::kEndEl, P{}}});
+  EXPECT_FALSE(Reader::parse(rejected).has_value());
+  const std::string rejectedPath = writeTemp(rejected, "ofl_interleave_a.gds");
+  LibraryCollector ignored;
+  std::string error;
+  EXPECT_FALSE(StreamReader::scan(rejectedPath, ignored, &error));
+  EXPECT_EQ(error, "malformed LAYER");
+  std::remove(rejectedPath.c_str());
+
+  const auto accepted = interleavedFile(
+      {{RecordTag::kSref, P{}},
+       {RecordTag::kSname, record::asciiPayload("SUB")},
+       {RecordTag::kBoundary, P{}},
+       {RecordTag::kLayer, u16Payload(2)},
+       {RecordTag::kXy, rectXy()},
+       {RecordTag::kEndEl, P{}}});
+  const auto parsed = Reader::parse(accepted);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->cells.size(), 1u);
+  const Cell& top = parsed->cells[0];
+  ASSERT_EQ(top.srefs.size(), 1u);
+  EXPECT_EQ(top.srefs[0].cellName, "SUB");
+  EXPECT_EQ(top.srefs[0].origin, geom::Point(0, 0));
+  ASSERT_EQ(top.boundaries.size(), 1u);
+  EXPECT_EQ(top.boundaries[0].layer, 2);
+  EXPECT_EQ(top.boundaries[0].vertices,
+            (std::vector<geom::Point>{{5, 6}, {15, 6}, {15, 16}, {5, 16}}));
+
+  const std::string acceptedPath = writeTemp(accepted, "ofl_interleave_b.gds");
+  LibraryCollector collector;
+  ASSERT_TRUE(StreamReader::scan(acceptedPath, collector, &error)) << error;
+  EXPECT_EQ(Writer::serialize(collector.library()), Writer::serialize(*parsed));
+  std::remove(acceptedPath.c_str());
 }
 
 // The append-only StreamWriter must emit exactly the bytes Writer::serialize

@@ -139,5 +139,57 @@ TEST(MergeTest, MergePreservesArea) {
   }
 }
 
+TEST(DecomposeIntoTest, FourVertexLoopsMatchTheSlabSweep) {
+  // decomposeEvenOdd always runs the slab sweep; decomposeInto takes its
+  // rectangle fast path where it applies and must give the same rects.
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto pick = [&] { return static_cast<Coord>(rng.uniformInt(-3, 3)); };
+    const Coord x0 = pick(), x1 = pick(), y0 = pick(), y1 = pick();
+    std::vector<Point> loop;
+    switch (rng.uniformInt(0, 3)) {
+      case 0:  // horizontal edge first
+        loop = {{x0, y0}, {x1, y0}, {x1, y1}, {x0, y1}};
+        break;
+      case 1:  // vertical edge first
+        loop = {{x0, y0}, {x0, y1}, {x1, y1}, {x1, y0}};
+        break;
+      case 2:  // any four points, mostly not a rectangle
+        loop = {{x0, y0}, {x1, pick()}, {pick(), y1}, {pick(), pick()}};
+        break;
+      default:  // a rectangle's corners in a crossing order
+        loop = {{x0, y0}, {x1, y1}, {x1, y0}, {x0, y1}};
+        break;
+    }
+    std::vector<Rect> fast{{100, 100, 101, 101}};  // appended to, not cleared
+    decomposeInto(loop, fast);
+    std::vector<Rect> slab{{100, 100, 101, 101}};
+    const std::vector<Rect> swept = decomposeEvenOdd({Polygon(loop)});
+    slab.insert(slab.end(), swept.begin(), swept.end());
+    EXPECT_EQ(fast, slab) << "trial " << trial;
+  }
+}
+
+TEST(DecomposeIntoTest, GeneralLoopsMatchDecompose) {
+  const std::vector<std::vector<Point>> loops = {
+      {{0, 0}, {10, 0}, {10, 5}, {5, 5}, {5, 10}, {0, 10}},
+      {{0, 0}, {12, 0}, {12, 10}, {8, 10}, {8, 4}, {4, 4}, {4, 10}, {0, 10}},
+      {{0, 0}, {10, 0}, {10, 10}},
+      {},
+  };
+  for (const std::vector<Point>& loop : loops) {
+    std::vector<Rect> out;
+    decomposeInto(loop, out);
+    EXPECT_EQ(out, decomposeEvenOdd({Polygon(loop)}));
+  }
+}
+
+TEST(BboxOfTest, MatchesPolygonBbox) {
+  const std::vector<Point> loop = {{3, -2}, {9, -2}, {9, 7}, {3, 7}};
+  EXPECT_EQ(bboxOf(loop), Polygon(loop).bbox());
+  EXPECT_EQ(bboxOf(loop), Rect(3, -2, 9, 7));
+  EXPECT_TRUE(bboxOf({}).empty());
+}
+
 }  // namespace
 }  // namespace ofl::geom
