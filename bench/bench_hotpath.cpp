@@ -1,5 +1,5 @@
 // Hot-path profile of the fill pipeline: one contest benchmark filled
-// single-threaded per rep with the default engine. The profiling registry
+// single-threaded per rep with the default engine. The obs::Stage table
 // records per-stage thread-seconds (wall series, gated only on the
 // baseline's machine) and the engine's work counters: windows, candidates,
 // spatial-index builds and queries, MCF solves, warm starts and early
@@ -12,6 +12,7 @@
 // reps. Results: BENCH_hotpath.json.
 //
 // Usage: bench_hotpath [suite] [reps] [--reps N] [--warmup N] [--out F]
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -19,10 +20,10 @@
 
 #include "bench/harness.hpp"
 #include "common/logging.hpp"
-#include "common/prof.hpp"
 #include "common/timer.hpp"
 #include "contest/benchmark_generator.hpp"
 #include "fill/fill_engine.hpp"
+#include "obs/stage.hpp"
 
 using namespace ofl;
 
@@ -47,11 +48,15 @@ std::uint64_t fillHash(const layout::Layout& chip) {
   return h;
 }
 
+constexpr auto kStages = static_cast<std::size_t>(obs::StageId::kCount);
+constexpr auto kCounters = static_cast<std::size_t>(obs::CounterId::kCount);
+
 struct Run {
   double wall = 0.0;
   std::size_t fills = 0;
   std::uint64_t hash = 0;
-  prof::Snapshot profile;
+  std::array<double, kStages> stageSeconds{};
+  std::array<std::uint64_t, kCounters> counters{};
 };
 
 Run runOnce(const layout::Layout& original,
@@ -62,22 +67,21 @@ Run runOnce(const layout::Layout& original,
   o.rules = spec.rules;
   o.numThreads = 1;
 
-  prof::Registry::instance().reset();
+  obs::StageTable& table = obs::StageTable::instance();
+  table.reset();
   Run run;
   Timer t;
   const fill::FillReport report = fill::FillEngine(o).run(chip);
   run.wall = t.elapsedSeconds();
   run.fills = report.fillCount;
   run.hash = fillHash(chip);
-  run.profile = report.profile;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    run.stageSeconds[s] = table.seconds(static_cast<obs::StageId>(s));
+  }
+  for (std::size_t c = 0; c < kCounters; ++c) {
+    run.counters[c] = table.counter(static_cast<obs::CounterId>(c));
+  }
   return run;
-}
-
-// Stage names without the nesting indent ("  mcf-solve" -> "mcf-solve").
-std::string stageKey(prof::Stage stage) {
-  std::string key = prof::stageName(stage);
-  key.erase(0, key.find_first_not_of(' '));
-  return key;
 }
 
 }  // namespace
@@ -99,27 +103,28 @@ int main(int argc, char** argv) {
   h.param("threads", static_cast<std::int64_t>(1));
 
   Series& wall = h.series("wall_s", "s");
-  std::vector<std::pair<prof::Stage, Series*>> stages;
-  for (int s = 0; s < static_cast<int>(prof::Stage::kCount); ++s) {
-    const auto stage = static_cast<prof::Stage>(s);
-    stages.push_back({stage, &h.series(stageKey(stage) + "_s", "s")});
+  std::vector<Series*> stages;
+  for (std::size_t s = 0; s < kStages; ++s) {
+    stages.push_back(&h.series(
+        std::string(obs::stageName(static_cast<obs::StageId>(s))) + "_s",
+        "s"));
   }
   const struct {
-    prof::Counter counter;
+    obs::CounterId counter;
     Direction direction;
   } gatedCounters[] = {
-      {prof::Counter::kWindows, Direction::kLowerIsBetter},
-      {prof::Counter::kCandidates, Direction::kLowerIsBetter},
-      {prof::Counter::kIndexBuilds, Direction::kLowerIsBetter},
-      {prof::Counter::kIndexQueries, Direction::kLowerIsBetter},
-      {prof::Counter::kMcfSolves, Direction::kLowerIsBetter},
-      {prof::Counter::kMcfWarmStarts, Direction::kHigherIsBetter},
-      {prof::Counter::kMcfEarlyExits, Direction::kHigherIsBetter},
+      {obs::CounterId::kWindows, Direction::kLowerIsBetter},
+      {obs::CounterId::kCandidates, Direction::kLowerIsBetter},
+      {obs::CounterId::kIndexBuilds, Direction::kLowerIsBetter},
+      {obs::CounterId::kIndexQueries, Direction::kLowerIsBetter},
+      {obs::CounterId::kMcfSolves, Direction::kLowerIsBetter},
+      {obs::CounterId::kMcfWarmStarts, Direction::kHigherIsBetter},
+      {obs::CounterId::kMcfEarlyExits, Direction::kHigherIsBetter},
   };
-  std::vector<std::pair<prof::Counter, Series*>> counters;
+  std::vector<std::pair<obs::CounterId, Series*>> counters;
   for (const auto& c : gatedCounters) {
     counters.push_back(
-        {c.counter, &h.series(prof::counterName(c.counter), "count",
+        {c.counter, &h.series(obs::counterName(c.counter), "count",
                               c.direction, Scale::kRatio)});
   }
 
@@ -128,7 +133,7 @@ int main(int argc, char** argv) {
   bool countersRepeat = true;
   Run ref;
   Run last;
-  prof::Registry::instance().setEnabled(true);
+  obs::StageTable::instance().setEnabled(true);
   h.runInterleaved({[&] {
     Run r = runOnce(original, spec);
     if (!haveRef) {
@@ -136,23 +141,24 @@ int main(int argc, char** argv) {
       haveRef = true;
     } else {
       identical = identical && r.hash == ref.hash && r.fills == ref.fills;
-      countersRepeat =
-          countersRepeat && r.profile.counters == ref.profile.counters;
+      countersRepeat = countersRepeat && r.counters == ref.counters;
     }
     wall.record(r.wall);
-    for (const auto& [stage, series] : stages) {
-      series->record(r.profile.stage(stage).seconds());
+    for (std::size_t s = 0; s < kStages; ++s) {
+      stages[s]->record(r.stageSeconds[s]);
     }
     for (const auto& [counter, series] : counters) {
-      series->record(static_cast<double>(r.profile.counter(counter)));
+      series->record(static_cast<double>(
+          r.counters[static_cast<std::size_t>(counter)]));
     }
-    last = std::move(r);
+    last = r;
   }});
-  prof::Registry::instance().setEnabled(false);
+  obs::StageTable::instance().setEnabled(false);
 
+  // The table still holds the last rep's run.
   std::printf("\n-- wall %.2fs, %zu fills, hash %llx --\n", last.wall,
               last.fills, static_cast<unsigned long long>(last.hash));
-  std::fputs(last.profile.human().c_str(), stdout);
+  std::fputs(obs::StageTable::instance().human().c_str(), stdout);
   std::printf("\n");
   h.param("fill_count", static_cast<std::int64_t>(ref.fills));
 

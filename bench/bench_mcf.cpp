@@ -31,12 +31,12 @@
 
 #include "bench/harness.hpp"
 #include "common/logging.hpp"
-#include "common/prof.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "contest/benchmark_generator.hpp"
 #include "fill/fill_engine.hpp"
 #include "mcf/dual_lp.hpp"
+#include "obs/stage.hpp"
 
 using namespace ofl;
 using namespace ofl::mcf;
@@ -152,12 +152,13 @@ EngineRun engineOnce(const layout::Layout& original,
   o.numThreads = 1;
   o.sizer.mcfWarmStart = warm;
   o.sizer.mcfEarlyExit = warm;
-  prof::Registry::instance().reset();
+  obs::StageTable::instance().reset();
   EngineRun run;
   Timer t;
   const fill::FillReport report = fill::FillEngine(o).run(chip);
   run.wall = t.elapsedSeconds();
-  run.sizingSeconds = report.profile.stage(prof::Stage::kSizing).seconds();
+  run.sizingSeconds =
+      obs::StageTable::instance().seconds(obs::StageId::kSizing);
   run.solves = report.sizerStats.solves;
   run.warmStarts = report.sizerStats.warmStarts;
   run.earlyExits = report.sizerStats.earlyExits;
@@ -306,9 +307,9 @@ int main(int argc, char** argv) {
       e.last = r;
     });
   }
-  prof::Registry::instance().setEnabled(true);
+  obs::StageTable::instance().setEnabled(true);
   h.runInterleaved(engineBodies);
-  prof::Registry::instance().setEnabled(false);
+  obs::StageTable::instance().setEnabled(false);
 
   bool engineIdentical = true;
   for (const EngineSlot& e : engine) {

@@ -9,8 +9,8 @@
 // Wall-clock deltas between two runs of the *same* disabled binary are
 // dominated by machine noise (several percent on shared CI runners), so
 // the disabled-probe budget is checked directly instead: a microbenchmark
-// times the disabled ScopedSpan/metricsEnabled probe (one relaxed atomic
-// load each), and the per-run cost is bounded as
+// times a disabled obs::Stage scope plus a metricsEnabled gate (one
+// relaxed atomic load per switch), and the per-run cost is bounded as
 //   probes-per-run (counted from the enabled run's trace) x ns-per-probe
 // against the disabled engine wall time. The enabled-vs-disabled wall
 // ratio is reported as well (informational -- tracing pays for real
@@ -35,6 +35,7 @@
 #include "contest/benchmark_generator.hpp"
 #include "fill/fill_engine.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 
 using namespace ofl;
@@ -91,18 +92,19 @@ Sample runOnce(const layout::Layout& original,
   return s;
 }
 
-// Nanoseconds per disabled probe pair (one ScopedSpan + one
-// metricsEnabled() check -- the shape of every gated site). The volatile
-// sink stops the optimizer from hoisting the enabled_ load out of the
-// loop entirely.
+// Nanoseconds per disabled probe pair (one obs::Stage scope that names a
+// span + one metricsEnabled() check -- the shape of every gated stage
+// site). The volatile sink stops the optimizer from hoisting the enabled_
+// loads out of the loop entirely.
 double disabledProbeNanos() {
   obs::Tracer::instance().setEnabled(false);
+  obs::StageTable::instance().setEnabled(false);
   obs::MetricsRegistry::instance().setEnabled(false);
   constexpr int kIters = 5'000'000;
   volatile bool sink = false;
   Timer t;
   for (int i = 0; i < kIters; ++i) {
-    obs::ScopedSpan span("bench.noop", "bench");
+    obs::Stage probe(obs::StageId::kSizing, "bench.noop", "bench");
     sink = sink || obs::metricsEnabled();
   }
   return t.elapsedSeconds() * 1e9 / kIters;

@@ -4,9 +4,9 @@
 #include <array>
 #include <cassert>
 
-#include "common/prof.hpp"
 #include "geometry/boolean.hpp"
 #include "geometry/decompose.hpp"
+#include "obs/stage.hpp"
 
 namespace ofl::fill {
 namespace {
@@ -81,7 +81,7 @@ void CandidateGenerator::sliceRegionInto(std::span<const geom::Rect> rects,
                                          geom::Coord maxSize,
                                          std::vector<geom::Rect>& candidates,
                                          Scratch& scratch) const {
-  prof::ScopedTimer timer(prof::Stage::kCandidateSlice);
+  obs::Stage probe(obs::StageId::kSlice);
   candidates.clear();
   const geom::Coord gap = gutter();
   const geom::Coord inset = (gap + 1) / 2;
@@ -210,7 +210,7 @@ void CandidateGenerator::generate(WindowProblem& problem,
       bool caseI = false;
       bool sharedInScratch = false;
       {
-        prof::ScopedTimer regionTimer(prof::Stage::kCandidateRegion);
+        obs::Stage probe(obs::StageId::kSharedRegion);
         const double dgSum =
             std::max(0.0,
                      problem.targetDensity[static_cast<std::size_t>(l)] -
@@ -276,7 +276,7 @@ void CandidateGenerator::generate(WindowProblem& problem,
       // biggest candidates first (Alg. 1 line 16).
       sliceRegionInto(fr.rects(), rules_.maxFillSize, ranked, scratch);
     }
-    prof::count(prof::Counter::kCandidates, ranked.size());
+    obs::count(obs::CounterId::kCandidates, ranked.size());
     std::sort(ranked.begin(), ranked.end(),
               [](const geom::Rect& a, const geom::Rect& b) {
                 if (a.area() != b.area()) return a.area() > b.area();
@@ -290,11 +290,11 @@ void CandidateGenerator::generate(WindowProblem& problem,
     const auto& fr = problem.fillRegions[static_cast<std::size_t>(l)];
     auto& candidates = scratch.candidates;
     sliceRegionInto(fr.rects(), rules_.maxFillSize, candidates, scratch);
-    prof::count(prof::Counter::kCandidates, candidates.size());
+    obs::count(obs::CounterId::kCandidates, candidates.size());
     auto& neighbors = scratch.neighbors;
     neighborShapes(l, neighbors);
 
-    prof::ScopedTimer scoreTimer(prof::Stage::kCandidateScore);
+    obs::Stage probe(obs::StageId::kOverlayScore);
     const bool indexed = neighbors.size() >= kIndexMinShapes;
     if (indexed) {
       scratch.neighborIndex.reset(
@@ -305,8 +305,8 @@ void CandidateGenerator::generate(WindowProblem& problem,
         scratch.neighborIndex.insert(static_cast<std::uint32_t>(i),
                                      neighbors[i]);
       }
-      prof::count(prof::Counter::kIndexBuilds);
-      prof::count(prof::Counter::kIndexQueries, candidates.size());
+      obs::count(obs::CounterId::kIndexBuilds);
+      obs::count(obs::CounterId::kIndexQueries, candidates.size());
     }
     auto& scored = scratch.scored;
     scored.clear();
@@ -345,7 +345,7 @@ void CandidateGenerator::generate(WindowProblem& problem,
   // upper bound and drag the whole layer's achievable uniformity down.
   const geom::Coord smallSize =
       std::max<geom::Coord>(3 * rules_.minWidth, rules_.maxFillSize / 8);
-  prof::ScopedTimer refineTimer(prof::Stage::kCandidateRefine);
+  obs::Stage probe(obs::StageId::kRefine);
   for (int l = 0; l < numLayers; ++l) {
     auto& chosen = problem.fills[static_cast<std::size_t>(l)];
     double got = 0.0;

@@ -6,7 +6,6 @@
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "common/prof.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "density/bounds.hpp"
@@ -15,6 +14,7 @@
 #include "layout/fill_region.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 
 namespace ofl::fill {
@@ -193,15 +193,14 @@ FillReport FillEngine::run(layout::Layout& layout) const {
     pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
       const int layer = static_cast<int>(l);
       {
-        prof::ScopedTimer timer(prof::Stage::kRegionPrep);
-        obs::ScopedSpan layerSpan(
-            "layer.region_prep", "window",
+        obs::Stage probe(
+            obs::StageId::kRegionPrep, "layer.region_prep", "window",
             {{"job", jid}, {"layer", static_cast<double>(layer + 1)}});
         fillRegions[l] = layout::computeFillRegions(
             layout, layer, grid, options_.rules, &blockedBuckets[l]);
         wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires);
       }
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      obs::Stage probe(obs::StageId::kDensityCompute);
       wireDensity[l] = density::DensityMap::computeFromShapes(
           layout.layer(layer).wires, grid);
     });
@@ -215,11 +214,11 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   {
     obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
     pool.parallelFor(static_cast<std::size_t>(numLayers), [&](std::size_t l) {
-      prof::ScopedTimer timer(prof::Stage::kPlanning);
+      obs::Stage probe(obs::StageId::kBounds);
       bounds[l] = density::computeBounds(wireDensity[l], grid, fillRegions[l],
                                          options_.rules);
     });
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
+    obs::Stage probe(obs::StageId::kPlanning);
     plan = planner.plan(bounds, grid.cols(), grid.rows());
   }
   report.planningSeconds += stage.elapsedSeconds();
@@ -239,7 +238,7 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   stage.reset();
   std::vector<WindowProblem> problems(numWindows);
   const CandidateGenerator generator(options_.rules, options_.candidate);
-  prof::count(prof::Counter::kWindows, numWindows);
+  obs::count(obs::CounterId::kWindows, numWindows);
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry::instance().counter("engine.windows").add(numWindows);
   }
@@ -267,10 +266,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
       // Worker-local scratch: buffers survive across the windows this
       // thread processes, then across runs in the same process.
       static thread_local CandidateGenerator::Scratch scratch;
-      prof::ScopedTimer timer(prof::Stage::kCandidates);
-      obs::ScopedSpan windowSpan(
-          "window.candidates", "window",
-          {{"job", jid}, {"w", static_cast<double>(w)}});
+      obs::Stage probe(obs::StageId::kCandidates, "window.candidates",
+                       "window", {{"job", jid}, {"w", static_cast<double>(w)}});
       generator.generate(p, scratch);
     });
   }
@@ -308,8 +305,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
     }
   }
   {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    obs::ScopedSpan span("engine.replanning", "engine", {{"job", jid}});
+    obs::Stage probe(obs::StageId::kPlanning, "engine.replanning", "engine",
+                     {{"job", jid}});
     plan = planner.plan(bounds, grid.cols(), grid.rows());
   }
   for (std::size_t w = 0; w < numWindows; ++w) {
@@ -330,10 +327,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
     pool.parallelFor(numWindows, [&](std::size_t w) {
       checkCancel(options_.cancel);
       static thread_local FillSizer::Scratch scratch;
-      prof::ScopedTimer timer(prof::Stage::kSizing);
-      obs::ScopedSpan windowSpan(
-          "window.sizing", "window",
-          {{"job", jid}, {"w", static_cast<double>(w)}});
+      obs::Stage probe(obs::StageId::kSizing, "window.sizing", "window",
+                       {{"job", jid}, {"w", static_cast<double>(w)}});
       sizer.size(problems[w], scratch, &windowStats[w]);
     });
   }
@@ -355,8 +350,8 @@ FillReport FillEngine::run(layout::Layout& layout) const {
 
   // --- Output ---
   {
-    prof::ScopedTimer timer(prof::Stage::kOutput);
-    obs::ScopedSpan span("engine.output", "engine", {{"job", jid}});
+    obs::Stage probe(obs::StageId::kOutput, "engine.output", "engine",
+                     {{"job", jid}});
     for (const WindowProblem& p : problems) {
       for (int l = 0; l < numLayers; ++l) {
         auto& out = layout.layer(l).fills;
@@ -368,7 +363,6 @@ FillReport FillEngine::run(layout::Layout& layout) const {
   recordQualityTelemetry(grid, problems, numLayers, options_.jobId);
   report.fillCount = layout.fillCount();
   report.totalSeconds = total.elapsedSeconds();
-  report.profile = prof::Registry::instance().snapshot();
   recordRunMetrics(report);
   logInfo("FillEngine: %zu fills from %zu candidates in %.2fs "
           "(plan %.2fs, cand %.2fs, size %.2fs, %d threads)",
@@ -462,7 +456,7 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
     pool->parallelFor(nl, [&](std::size_t l) {
       const int layer = static_cast<int>(l);
       {
-        prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+        obs::Stage probe(obs::StageId::kRegionPrep);
         wireBuckets[l] = grid.bucketClipped(layout.layer(layer).wires, i0, j0,
                                             i1, j1);
         blockedBuckets[l] = grid.bucketClipped(
@@ -482,19 +476,23 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       // other window's (targets are not re-swept, so they cannot drift);
       // those stay 0.
       auto& b = bounds[l];
-      b.lower.assign(numWindows, 0.0);
-      b.upper.assign(numWindows, 0.0);
-      for (std::size_t a = 0; a < numAffected; ++a) {
-        const geom::Area windowArea = affectedRects[a].area();
-        wireDensity[l][a] =
-            density::windowDensity(wireBuckets[l][a], windowArea);
-        const density::WindowBound fresh = density::computeWindowBound(
-            wireDensity[l][a], windowArea, fillRegions[l][a], options_.rules);
-        b.lower[affectedIndices[a]] = fresh.lower;
-        b.upper[affectedIndices[a]] = fresh.upper;
+      {
+        obs::Stage probe(obs::StageId::kBounds);
+        b.lower.assign(numWindows, 0.0);
+        b.upper.assign(numWindows, 0.0);
+        for (std::size_t a = 0; a < numAffected; ++a) {
+          const geom::Area windowArea = affectedRects[a].area();
+          wireDensity[l][a] =
+              density::windowDensity(wireBuckets[l][a], windowArea);
+          const density::WindowBound fresh = density::computeWindowBound(
+              wireDensity[l][a], windowArea, fillRegions[l][a],
+              options_.rules);
+          b.lower[affectedIndices[a]] = fresh.lower;
+          b.upper[affectedIndices[a]] = fresh.upper;
+        }
       }
       if (pinned) return;
-      prof::ScopedTimer timer(prof::Stage::kDensityCompute);
+      obs::Stage probe(obs::StageId::kDensityCompute);
       const density::DensityMap current =
           density::DensityMap::compute(layout, layer, grid);
       for (std::size_t w = 0; w < numWindows; ++w) {
@@ -510,9 +508,8 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
   // run()'s stage-3 per-window arithmetic. Legacy mode keeps the single
   // frozen-bounds sweep for both roles.
   const TargetPlan plan = [&] {
-    obs::ScopedSpan span("engine.eco_plan", "engine",
-                         {{"job", jid}, {"windows", windowsArg}});
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
+    obs::Stage probe(obs::StageId::kPlanning, "engine.eco_plan", "engine",
+                     {{"job", jid}, {"windows", windowsArg}});
     return pinned ? planner.planPinned(stored.candidate, bounds)
                   : planner.plan(bounds, grid.cols(), grid.rows());
   }();
@@ -567,7 +564,7 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       }
     }
     {
-      prof::ScopedTimer timer(prof::Stage::kCandidates);
+      obs::Stage probe(obs::StageId::kCandidates);
       generator.generate(p, generatorScratch);
     }
     std::size_t candidates = 0;
@@ -592,7 +589,7 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       }
     }
     {
-      prof::ScopedTimer timer(prof::Stage::kSizing);
+      obs::Stage probe(obs::StageId::kSizing);
       sizer.size(p, sizerScratch, &windowStats[a]);
     }
     if (pinned) cache->insert(key, WindowCache::Entry{p.fills, candidates});
@@ -614,11 +611,10 @@ FillReport FillEngine::runIncremental(layout::Layout& layout,
       out.insert(out.end(), fs.begin(), fs.end());
     }
   }
-  prof::count(prof::Counter::kEcoWindowsSkipped, report.ecoWindowsSkipped);
+  obs::count(obs::CounterId::kEcoWindowsSkipped, report.ecoWindowsSkipped);
   report.sizingSeconds += stage.elapsedSeconds();
   report.fillCount = layout.fillCount();
   report.totalSeconds = total.elapsedSeconds();
-  report.profile = prof::Registry::instance().snapshot();
   recordRunMetrics(report);
   logInfo("FillEngine ECO: refilled affected windows in %.3fs (%zu fills)",
           report.totalSeconds, report.fillCount);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include "common/cancel.hpp"
-#include "common/prof.hpp"
 #include "fill/candidate_generator.hpp"
 #include "fill/fill_sizer.hpp"
 #include "fill/target_planner.hpp"
@@ -69,11 +68,6 @@ struct FillReport {
   int threadsUsed = 1;  // resolved thread count the run executed with
   FillSizer::Stats sizerStats;
   std::vector<double> layerTargets;  // planned td per layer (final round)
-  /// Registry snapshot taken when the run finished. Empty unless the
-  /// caller enabled prof collection (CLI --profile); cumulative since the
-  /// caller's last Registry::reset(), so a caller timing one run must
-  /// reset first.
-  prof::Snapshot profile;
 };
 
 class FillEngine {

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <vector>
 
-#include "common/prof.hpp"
 #include "lp/simplex.hpp"
+#include "obs/stage.hpp"
 
 namespace ofl::fill {
 namespace {
@@ -93,7 +93,7 @@ void buildIndex(geom::GridIndex& index, const Rect& window, Coord cellSize,
     if (shapes[i].empty()) continue;  // contributes zero either way
     index.insert(static_cast<std::uint32_t>(i), shapes[i]);
   }
-  prof::count(prof::Counter::kIndexBuilds);
+  obs::count(obs::CounterId::kIndexBuilds);
 }
 
 // All unordered fill pairs (i < j) with frozen-axis overlap whose gap in
@@ -199,13 +199,13 @@ void FillSizer::trimToTarget(WindowProblem& problem, int layer,
                geom::windowCellSize(problem.window, rules_.maxFillSize),
                opposing);
     index = &scratch.wireIndex;
-    prof::count(prof::Counter::kIndexQueries, fills.size());
+    obs::count(obs::CounterId::kIndexQueries, fills.size());
   }
   const AxisView ax{true};
   std::vector<std::pair<Coord, std::size_t>> order;  // (-marginal, index)
   order.reserve(fills.size());
   {
-    prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+    obs::Stage probe(obs::StageId::kOverlayMarginals);
     for (std::size_t i = 0; i < fills.size(); ++i) {
       order.push_back(
           {-overlayMarginal(fills[i], fills[i].xh, false, opposing, index, ax),
@@ -268,7 +268,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
     fillIndex = &scratch.fillIndex;
     selfIndex = &scratch.selfIndex;
     // 4 marginal queries per fill (2 edges x wires/fills) + 1 pair query.
-    prof::count(prof::Counter::kIndexQueries, 5 * fills.size());
+    obs::count(obs::CounterId::kIndexQueries, 5 * fills.size());
   }
 
   // Density pressure: above target rewards shrinking, below target
@@ -295,7 +295,7 @@ void FillSizer::sizeLayerDirection(WindowProblem& problem, int layer,
   ovLo.resize(n);
   ovHi.resize(n);
   {
-    prof::ScopedTimer overlayTimer(prof::Stage::kSizerOverlay);
+    obs::Stage probe(obs::StageId::kOverlayMarginals);
     for (std::size_t i = 0; i < n; ++i) {
       const Rect& f = fills[i];
       frozen[i] = ax.frozenLen(f);

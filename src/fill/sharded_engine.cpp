@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/logging.hpp"
-#include "common/prof.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "density/bounds.hpp"
@@ -22,6 +21,7 @@
 #include "layout/shard_store.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
+#include "obs/stage.hpp"
 #include "obs/trace.hpp"
 
 namespace ofl::fill {
@@ -140,8 +140,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // --- Ingest: stream + flatten + decompose + route into row spools ---
   Timer stage;
   {
-    obs::ScopedSpan span("shard.ingest", "engine", {{"job", jid}});
-    prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+    obs::Stage probe(obs::StageId::kRegionPrep, "shard.ingest", "engine",
+                     {{"job", jid}});
     std::vector<geom::Rect> rects;  // one boundary's decomposition, reused
     gds::FlattenStream flatten([&](const gds::Boundary& b) {
       const int l = b.layer - 1;
@@ -230,7 +230,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
         checkCancel(eng.cancel);
         buildRowBuckets(l, j);
         pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
-          prof::ScopedTimer timer(prof::Stage::kPlanning);
+          obs::Stage probe(obs::StageId::kBounds);
           const auto w = static_cast<std::size_t>(
               grid.flatIndex(static_cast<int>(i), j));
           const geom::Rect windowRect = grid.windowRect(static_cast<int>(i), j);
@@ -253,8 +253,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   const TargetDensityPlanner planner(eng.plannerWeights);
   TargetPlan plan;
   {
-    obs::ScopedSpan span("engine.planning", "engine", {{"job", jid}});
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
+    obs::Stage probe(obs::StageId::kPlanning, "engine.planning", "engine",
+                     {{"job", jid}});
     plan = planner.plan(bounds, cols, rows);
   }
   rep.fill.planningSeconds += stage.elapsedSeconds();
@@ -323,7 +323,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // --- Candidate pass (stage 2), shard by shard, row by row ---
   stage.reset();
   const CandidateGenerator generator(eng.rules, eng.candidate);
-  prof::count(prof::Counter::kWindows, numWindows);
+  obs::count(obs::CounterId::kWindows, numWindows);
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry::instance().counter("engine.windows").add(numWindows);
   }
@@ -347,7 +347,7 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           rowWires[l] = wireBuckets;
           rowBlocked[l] = blockedBuckets;
           pool.parallelFor(static_cast<std::size_t>(cols), [&](std::size_t i) {
-            prof::ScopedTimer timer(prof::Stage::kRegionPrep);
+            obs::Stage probe(obs::StageId::kRegionPrep);
             rowRegions[l][i] = layout::windowFillRegion(
                 grid.windowRect(static_cast<int>(i), j), rowBlocked[l][i]);
           });
@@ -369,10 +369,9 @@ bool ShardedEngine::runFile(const std::string& inputPath,
             p.targetDensity.push_back(plan.windowTarget[l][w]);
           }
           static thread_local CandidateGenerator::Scratch scratch;
-          prof::ScopedTimer timer(prof::Stage::kCandidates);
-          obs::ScopedSpan windowSpan(
-              "window.candidates", "window",
-              {{"job", jid}, {"w", static_cast<double>(w)}});
+          obs::Stage probe(obs::StageId::kCandidates, "window.candidates",
+                           "window",
+                           {{"job", jid}, {"w", static_cast<double>(w)}});
           generator.generate(p, scratch);
         });
         // Serial merge in window order: counts, stage-3 bound tightening,
@@ -410,8 +409,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // --- Second planning round (stage 3) ---
   stage.reset();
   {
-    prof::ScopedTimer timer(prof::Stage::kPlanning);
-    obs::ScopedSpan span("engine.replanning", "engine", {{"job", jid}});
+    obs::Stage probe(obs::StageId::kPlanning, "engine.replanning", "engine",
+                     {{"job", jid}});
     plan = planner.plan(bounds, cols, rows);
   }
   rep.fill.layerTargets = plan.layerTarget;
@@ -469,10 +468,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
           const auto w = static_cast<std::size_t>(
               grid.flatIndex(static_cast<int>(i), j));
           static thread_local FillSizer::Scratch scratch;
-          prof::ScopedTimer timer(prof::Stage::kSizing);
-          obs::ScopedSpan windowSpan(
-              "window.sizing", "window",
-              {{"job", jid}, {"w", static_cast<double>(w)}});
+          obs::Stage probe(obs::StageId::kSizing, "window.sizing", "window",
+                           {{"job", jid}, {"w", static_cast<double>(w)}});
           sizer.size(problems[i], scratch, &windowStats[i]);
         });
         for (int i = 0; i < cols; ++i) {
@@ -508,8 +505,8 @@ bool ShardedEngine::runFile(const std::string& inputPath,
   // --- Output: streaming writer, toGds order (wires then fills, per
   // layer, single TOP cell) ---
   {
-    prof::ScopedTimer timer(prof::Stage::kOutput);
-    obs::ScopedSpan span("shard.output", "engine", {{"job", jid}});
+    obs::Stage probe(obs::StageId::kOutput, "shard.output", "engine",
+                     {{"job", jid}});
     gds::StreamWriter writer(outputPath);
     if (!writer.ok()) return setError(error, "cannot write " + outputPath);
     writer.beginCell("TOP");
@@ -548,7 +545,6 @@ bool ShardedEngine::runFile(const std::string& inputPath,
     }
   }
   rep.fill.totalSeconds = total.elapsedSeconds();
-  rep.fill.profile = prof::Registry::instance().snapshot();
   if (obs::metricsEnabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
     reg.counter("engine.runs").add();

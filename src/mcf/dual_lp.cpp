@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/prof.hpp"
 #include "mcf/cycle_canceling.hpp"
 #include "mcf/network_simplex.hpp"
 #include "mcf/ssp.hpp"
+#include "obs/stage.hpp"
 
 namespace ofl::mcf {
 
@@ -207,8 +207,8 @@ bool DualMcfContext::topologyMatches(const DifferentialLp& lp) const {
 }
 
 DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
-  prof::ScopedTimer timer(prof::Stage::kMcfSolve);
-  prof::count(prof::Counter::kMcfSolves);
+  obs::Stage probe(obs::StageId::kMcfSolve);
+  obs::count(obs::CounterId::kMcfSolves);
   DiffLpResult result;
   const int n = lp.numVariables();
   if (n == 0) {
@@ -216,7 +216,7 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
     return result;
   }
   if (tryEarlyExit(lp, result)) {
-    prof::count(prof::Counter::kMcfEarlyExits);
+    obs::count(obs::CounterId::kMcfEarlyExits);
     return result;
   }
 
@@ -239,7 +239,7 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
   const Value cap = 4 * positiveSupply + 4;
 
   if (topologyMatches(lp)) {
-    prof::count(prof::Counter::kMcfNetworkReuses);
+    obs::count(obs::CounterId::kMcfNetworkReuses);
     graph_.setSupply(0, -sumCosts);
     for (int v = 0; v < n; ++v) graph_.setSupply(v + 1, lp.cost(v));
     int a = 0;
@@ -282,7 +282,7 @@ DiffLpResult DualMcfContext::solve(const DifferentialLp& lp) {
                                 : simplex_.solve(graph_);
       if (simplex_.lastSolveWarm()) {
         result.usedWarmStart = true;
-        prof::count(prof::Counter::kMcfWarmStarts);
+        obs::count(obs::CounterId::kMcfWarmStarts);
       }
       break;
     case McfBackend::kSuccessiveShortestPath:

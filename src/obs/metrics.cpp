@@ -6,7 +6,7 @@
 
 #include "common/json_util.hpp"
 #include "common/memory_usage.hpp"
-#include "common/prof.hpp"
+#include "obs/stage.hpp"
 
 namespace ofl::obs {
 
@@ -157,6 +157,24 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     d.p95 = d.data.quantile(0.95);
     d.p99 = d.data.quantile(0.99);
     s.histograms[name] = std::move(d);
+  }
+  // The stage table's entered rows and nonzero counters, read directly.
+  const StageTable& table = StageTable::instance();
+  for (int i = 0; i < static_cast<int>(StageId::kCount); ++i) {
+    const auto stage = static_cast<StageId>(i);
+    const std::uint64_t calls = table.calls(stage);
+    if (calls == 0) continue;
+    const std::string key = std::string("prof.") + stageName(stage);
+    s.gauges[key + ".seconds"] = table.seconds(stage);
+    s.gauges[key + ".calls"] = static_cast<double>(calls);
+  }
+  for (int i = 0; i < static_cast<int>(CounterId::kCount); ++i) {
+    const auto counter = static_cast<CounterId>(i);
+    const std::uint64_t v = table.counter(counter);
+    if (v != 0) {
+      s.gauges[std::string("prof.") + counterName(counter)] =
+          static_cast<double>(v);
+    }
   }
   return s;
 }
@@ -310,29 +328,6 @@ std::string MetricsSnapshot::human() const {
     }
   }
   return out;
-}
-
-void absorbProf(const prof::Snapshot& snapshot) {
-  MetricsRegistry& reg = MetricsRegistry::instance();
-  for (int i = 0; i < static_cast<int>(prof::Stage::kCount); ++i) {
-    const auto stage = static_cast<prof::Stage>(i);
-    const prof::StageStats& s = snapshot.stage(stage);
-    if (s.calls == 0) continue;
-    // Stage names indent nested kernels with spaces; strip for the key.
-    std::string key;
-    for (const char* p = prof::stageName(stage); *p != '\0'; ++p) {
-      if (*p != ' ') key.push_back(*p);
-    }
-    reg.gauge("prof." + key + ".seconds").set(s.seconds());
-    reg.gauge("prof." + key + ".calls").set(static_cast<double>(s.calls));
-  }
-  for (int i = 0; i < static_cast<int>(prof::Counter::kCount); ++i) {
-    const auto counter = static_cast<prof::Counter>(i);
-    const std::uint64_t v = snapshot.counter(counter);
-    if (v == 0) continue;
-    reg.gauge(std::string("prof.") + prof::counterName(counter))
-        .set(static_cast<double>(v));
-  }
 }
 
 void updateProcessGauges() {

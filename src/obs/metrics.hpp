@@ -2,9 +2,10 @@
 //
 // One process-global table of named counters, gauges and fixed-bucket
 // histograms that absorbs every stat the system previously scattered —
-// the prof stage timers, ServiceStats, ResultCache hit/miss/eviction
-// counts, peak RSS — plus the quality-telemetry channel (per-layer /
-// per-window density, hotspot counts, score terms). Snapshots export as
+// ServiceStats, ResultCache hit/miss/eviction counts, peak RSS — plus the
+// quality-telemetry channel (per-layer / per-window density, hotspot
+// counts, score terms). A snapshot also reads the obs::Stage table as
+// prof.<stage>.seconds|calls and prof.<counter> gauges. Snapshots export as
 // JSON (`--metrics-out FILE`) and Prometheus text exposition
 // (`--metrics-prom FILE`); `openfill stats --metrics FILE` pretty-prints
 // a snapshot.
@@ -24,10 +25,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-namespace ofl::prof {
-struct Snapshot;
-}
 
 namespace ofl::obs {
 
@@ -139,6 +136,9 @@ class MetricsRegistry {
 
   /// Zeroes every registered series in place (addresses stay valid).
   void reset();
+  /// Every registered series, plus a gauge per entered stage-table row
+  /// ("prof.<stage>.seconds", "prof.<stage>.calls") and per nonzero
+  /// stage-table counter ("prof.<counter>").
   MetricsSnapshot snapshot() const;
 
  private:
@@ -151,10 +151,6 @@ class MetricsRegistry {
 
 /// Convenience: MetricsRegistry::enabled().
 inline bool metricsEnabled() { return MetricsRegistry::enabled(); }
-
-/// Folds a prof registry snapshot into the metrics registry as gauges
-/// ("prof.<stage>.seconds", "prof.<stage>.calls", "prof.<counter>").
-void absorbProf(const prof::Snapshot& snapshot);
 
 /// Pre-registers the cross-subsystem series (engine, cache, scheduler,
 /// service, process) so every snapshot carries the full schema with

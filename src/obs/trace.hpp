@@ -22,6 +22,7 @@
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,37 +101,38 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
-/// RAII complete-span probe. A no-op (no clock reads, no buffer touch)
-/// while the tracer is disabled; the enabled state is latched at
-/// construction so a span closes consistently even if tracing toggles
-/// mid-flight.
+/// RAII complete-span probe. A no-op (no clock reads, no buffer touch,
+/// no event built) while the tracer is disabled or `name` is null
+/// (obs::Stage passes null for kernels that record no span, which skips
+/// the tracer load); the enabled state is latched at construction so a
+/// span closes consistently even if tracing toggles mid-flight.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, const char* cat = "engine")
-      : armed_(Tracer::enabled()) {
-    if (armed_) {
-      event_.name = name;
-      event_.cat = cat;
-      event_.startNs = Tracer::instance().nowNs();
+  explicit ScopedSpan(const char* name, const char* cat = "engine") {
+    if (name != nullptr && Tracer::enabled()) {
+      event_.emplace();
+      event_->name = name;
+      event_->cat = cat;
+      event_->startNs = Tracer::instance().nowNs();
     }
   }
   ScopedSpan(const char* name, const char* cat,
              std::initializer_list<SpanArg> args)
       : ScopedSpan(name, cat) {
-    if (armed_) {
+    if (event_) {
       for (const SpanArg& a : args) {
-        if (event_.argCount >= TraceEvent::kMaxArgs) break;
-        event_.argKeys[event_.argCount] = a.first;
-        event_.argValues[event_.argCount] = a.second;
-        ++event_.argCount;
+        if (event_->argCount >= TraceEvent::kMaxArgs) break;
+        event_->argKeys[event_->argCount] = a.first;
+        event_->argValues[event_->argCount] = a.second;
+        ++event_->argCount;
       }
     }
   }
   ~ScopedSpan() {
-    if (armed_) {
+    if (event_) {
       Tracer& tracer = Tracer::instance();
-      event_.durNs = tracer.nowNs() - event_.startNs;
-      tracer.record(event_);
+      event_->durNs = tracer.nowNs() - event_->startNs;
+      tracer.record(*event_);
     }
   }
 
@@ -138,8 +140,7 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  bool armed_;
-  TraceEvent event_{};
+  std::optional<TraceEvent> event_;  // engaged while armed
 };
 
 /// Records a complete span after the fact (e.g. queue-wait measured when

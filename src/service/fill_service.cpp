@@ -8,9 +8,6 @@
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fill/sharded_engine.hpp"
-#include "gds/gds_writer.hpp"
-#include "gds/oasis.hpp"
-#include "layout/gds_compact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/fingerprint.hpp"
@@ -269,16 +266,8 @@ JobResult FillService::runJob(Job& job) const {
   r.fillCount = chip.fillCount();
 
   if (!spec.outputPath.empty()) {
-    if (!spec.compact && spec.format == OutputFormat::kGds) {
-      r.outputBytes = chip.writeGds(spec.outputPath);
-    } else {
-      // Hierarchical or OASIS output needs the whole Library.
-      const gds::Library lib =
-          spec.compact ? layout::toCompactGds(chip) : chip.toGds();
-      r.outputBytes = spec.format == OutputFormat::kOasis
-                          ? gds::OasisWriter::writeFile(lib, spec.outputPath)
-                          : gds::Writer::writeFile(lib, spec.outputPath);
-    }
+    r.outputBytes =
+        writeFlatLayout(chip, spec.outputPath, spec.format, spec.compact);
     if (r.outputBytes < 0) {
       r.status = JobStatus::kFailed;
       r.error = "cannot write " + spec.outputPath;
@@ -294,7 +283,6 @@ JobResult FillService::runJob(Job& job) const {
 
 ServiceStats FillService::stats() const {
   ServiceStats s;
-  s.profile = prof::Registry::instance().snapshot();
   s.cache = cache_.counters();
   const std::uint64_t probes = s.cache.hits + s.cache.misses;
   s.cacheHitRate =
@@ -377,12 +365,7 @@ std::string toJson(const ServiceStats& s) {
       static_cast<unsigned long long>(s.cache.persistentHits),
       static_cast<unsigned long long>(s.cache.persistentMisses),
       s.cache.entries, s.cache.bytesUsed, s.cache.byteBudget);
-  std::string out(buf);
-  if (!s.profile.empty()) {
-    // Splice before the closing brace: ...\n} -> ...,\n  "profile": {...}\n}
-    out.insert(out.size() - 2, ",\n  \"profile\": " + s.profile.json());
-  }
-  return out;
+  return buf;
 }
 
 void exportToMetrics(const ServiceStats& s) {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/prof.hpp"
 #include "service/job.hpp"
 #include "service/result_cache.hpp"
 #include "service/scheduler.hpp"
@@ -76,12 +75,6 @@ struct ServiceStats {
   /// Highest process peak RSS (MiB) observed at any job completion; covers
   /// the whole batch since jobs share one address space.
   double peakRssMiB = 0.0;
-
-  /// Hot-path profile over every engine run the process executed since the
-  /// caller's last prof::Registry::reset() (the registry is global, so
-  /// concurrent jobs aggregate into one table). Empty unless collection
-  /// was enabled (`openfill batch --profile`).
-  prof::Snapshot profile;
 };
 
 /// Renders stats as a JSON object (used by `openfill batch --json` and

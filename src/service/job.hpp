@@ -14,11 +14,9 @@
 
 #include "fill/fill_engine.hpp"
 #include "layout/layout.hpp"
+#include "service/layout_io.hpp"
 
 namespace ofl::service {
-
-/// Output serialization of a job (mirrors `openfill fill --format/--compact`).
-enum class OutputFormat { kGds, kOasis };
 
 /// What the service runs for this job. kFill replaces any existing fills
 /// with a fresh solution; kEco expects the input layout to already carry a

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/json_util.hpp"
-#include "common/prof.hpp"
+#include "obs/stage.hpp"
 
 namespace ofl::obs {
 namespace {
@@ -173,21 +173,26 @@ TEST_F(MetricsTest, ResetZeroesInPlaceKeepingAddresses) {
   EXPECT_DOUBLE_EQ(h.snapshot().min, 0.5);
 }
 
-TEST_F(MetricsTest, AbsorbProfStripsIndentationFromStageNames) {
-  prof::Registry::instance().setEnabled(true);
-  prof::Registry::instance().reset();
+TEST_F(MetricsTest, SnapshotReadsStageTableWithoutIndentation) {
+  StageTable& table = StageTable::instance();
+  table.setEnabled(true);
+  table.reset();
   {
-    prof::ScopedTimer timer(prof::Stage::kMcfSolve);  // name "  mcf-solve"
+    Stage probe(StageId::kMcfSolve);  // nested: indented in human()
   }
-  prof::count(prof::Counter::kWindows, 6);
-  absorbProf(prof::Registry::instance().snapshot());
-  prof::Registry::instance().setEnabled(false);
-  prof::Registry::instance().reset();
-
+  count(CounterId::kWindows, 6);
   const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+  table.setEnabled(false);
+  table.reset();
+
   EXPECT_TRUE(snap.has("prof.mcf-solve.seconds"));
   EXPECT_EQ(snap.gauges.at("prof.mcf-solve.calls"), 1.0);
   EXPECT_EQ(snap.gauges.at("prof.windows"), 6.0);
+  // Rows never entered and zero counters export nothing.
+  EXPECT_FALSE(snap.has("prof.sizing.seconds"));
+  EXPECT_FALSE(snap.has("prof.mcf-solves"));
+  EXPECT_FALSE(MetricsRegistry::instance().snapshot().has(
+      "prof.mcf-solve.seconds"));
 }
 
 TEST_F(MetricsTest, UpdateProcessGaugesReportsPositiveRss) {
