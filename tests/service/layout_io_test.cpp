@@ -91,6 +91,41 @@ TEST(LayoutWriterTest, UnwritablePathReturnsMinusOne) {
   EXPECT_EQ(chip.writeGds("/nonexistent-dir/out.gds"), -1);
 }
 
+TEST(WriteFlatLayoutTest, EachFormatAndCompactPairWritesItsLibrary) {
+  // A regular fill grid, so the compact Library holds an AREF and differs
+  // from the flat one in both formats.
+  layout::Layout chip = randomLayout(7);
+  for (int r = 0; r < 5; ++r) {
+    for (int c = 0; c < 8; ++c) {
+      chip.layer(1).fills.push_back(
+          {c * 110, r * 130, c * 110 + 90, r * 130 + 100});
+    }
+  }
+  const gds::Library flat = chip.toGds();
+  const gds::Library compact = layout::toCompactGds(chip);
+  ASSERT_FALSE(compact.cells[0].arefs.empty());
+  const struct {
+    OutputFormat format;
+    bool compact;
+    std::vector<std::uint8_t> expected;
+  } cases[] = {
+      {OutputFormat::kGds, false, gds::Writer::serialize(flat)},
+      {OutputFormat::kGds, true, gds::Writer::serialize(compact)},
+      {OutputFormat::kOasis, false, gds::OasisWriter::serialize(flat)},
+      {OutputFormat::kOasis, true, gds::OasisWriter::serialize(compact)},
+  };
+  const std::string path = tempPath("write_flat.out");
+  for (const auto& c : cases) {
+    const long long bytes = writeFlatLayout(chip, path, c.format, c.compact);
+    const bool oasis = c.format == OutputFormat::kOasis;
+    EXPECT_EQ(bytes, static_cast<long long>(c.expected.size()))
+        << "oasis=" << oasis << " compact=" << c.compact;
+    EXPECT_EQ(readBytes(path), c.expected)
+        << "oasis=" << oasis << " compact=" << c.compact;
+  }
+  std::remove(path.c_str());
+}
+
 // The Library path loadFlatLayout replaced: read the whole Library (GDS,
 // else OASIS), die = bbox of every boundary of every cell, layer count =
 // highest GDS layer, then Layout::fromGds.
